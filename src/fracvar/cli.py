@@ -6,13 +6,15 @@ lagrange_dsl grammar.  All numeric output uses '.' decimal separators and 17
 significant digits so runs are byte-reproducible.
 
 Exit codes: 0 success/converged, 2 parse/schema/precondition error,
-3 solver non-convergence, 4 numeric domain error.
+3 solver non-convergence, no minimizer, or an abnormal (multiplier-free)
+constraint, 4 numeric domain error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -21,10 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from .fracgrid import FracOrder, Grid, GridMismatchError, SampledFunction
-from .lagrange_dsl import EvalDomainError, ExprSyntaxError, Lagrangian
+from .lagrange_dsl import EvalDomainError, ExprSyntaxError, Lagrangian, parse
 from .reference import ReferenceSpec, boundary_value, ml_convolution_extremal
 from .solver import (
     BracketFailureError,
+    NoMinimizerError,
     SolverOptions,
     solve_isoperimetric,
     solve_unconstrained,
@@ -37,14 +40,9 @@ EXIT_SCHEMA = 2
 EXIT_NOCONV = 3
 EXIT_DOMAIN = 4
 
-_SOLVER_KEYS = {
-    "max_iters": int,
-    "grad_tol": float,
-    "constraint_tol": float,
-    "line_search": str,
-    "memory": int,
-    "lambda_bracket": tuple,
-}
+# accepted so that older problem files still parse; nothing reads them
+_IGNORED_SOLVER_KEYS = ("line_search", "memory")
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverOptions)} | set(_IGNORED_SOLVER_KEYS)
 
 
 class SchemaError(ValueError):
@@ -136,13 +134,12 @@ def _build_problem(doc: dict) -> Problem:
 
 
 def _solver_options(doc: dict) -> SolverOptions:
-    opts = SolverOptions()
-    for key, value in doc.get("solver", {}).items():
-        if key == "lambda_bracket":
-            value = (float(value[0]), float(value[1]))
-        setattr(opts, key, _SOLVER_KEYS[key](value) if key != "lambda_bracket" else value)
-    opts.__post_init__()
-    return opts
+    opts = dict(doc.get("solver", {}))
+    for key in _IGNORED_SOLVER_KEYS:
+        if key in opts:
+            del opts[key]
+            print(f'note: solver option "{key}" is ignored', file=sys.stderr)
+    return SolverOptions(**opts)
 
 
 def _write_solution_csv(path: Path, p: Problem, y: SampledFunction, lam: float | None) -> None:
@@ -236,21 +233,19 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         raise SchemaError("need at least 2 grid sizes")
     doc = _load_problem_file(args.file)
     sizes = sorted(args.grids)
-
-    # the quadratic family has a semi-analytic reference; otherwise compare
-    # against the finest-grid solution
-    f_src = doc["F"].replace(" ", "")
-    g_src = doc.get("G", "").replace(" ", "")
-    has_reference = (
-        doc["a"] == 0.0 and f_src == "v^2" and (("G" not in doc) or g_src == "v")
-    )
+    opts = _solver_options(doc)
 
     solutions = {}
     for n in sizes:
         p = _build_problem(dict(doc, n=n))
-        opts = _solver_options(doc)
         sol = solve_isoperimetric(p, opts) if p.constrained else solve_unconstrained(p, opts)
         solutions[n] = (p, sol)
+
+    # the quadratic family has a semi-analytic reference; otherwise compare
+    # against the finest-grid solution
+    has_reference = (
+        p.grid.a == 0.0 and p.f.f == parse("v^2") and (p.g is None or p.g.f == parse("v"))
+    )
 
     entries = []
     if has_reference:
@@ -295,7 +290,6 @@ def _build_argparser() -> argparse.ArgumentParser:
     s.add_argument("file")
     s.add_argument("--out", help="path for the solution CSV")
     s.add_argument("--n", type=int, help="override the grid size")
-    s.add_argument("--quiet", action="store_true")
     s.set_defaults(func=cmd_solve)
 
     s = sub.add_parser("residual", help="Euler-Lagrange residual of a supplied trajectory")
@@ -303,7 +297,6 @@ def _build_argparser() -> argparse.ArgumentParser:
     s.add_argument("--y", required=True, help="CSV with columns t,y on the problem grid")
     s.add_argument("--lambda", dest="lam", type=float, default=None)
     s.add_argument("--n", type=int, help="override the grid size")
-    s.add_argument("--quiet", action="store_true")
     s.set_defaults(func=cmd_residual)
 
     s = sub.add_parser("reference", help="emit the semi-analytic reference extremal")
@@ -313,13 +306,11 @@ def _build_argparser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--b", type=float, default=1.0)
     s.add_argument("--out", help="path for the t,y CSV (stdout when omitted)")
-    s.add_argument("--quiet", action="store_true")
     s.set_defaults(func=cmd_reference)
 
     s = sub.add_parser("convergence", help="grid-refinement study")
     s.add_argument("file")
     s.add_argument("--grids", type=int, nargs="+", required=True)
-    s.add_argument("--quiet", action="store_true")
     s.set_defaults(func=cmd_convergence)
     return parser
 
@@ -335,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GammaPoleError, GammaOverflowError, EvalDomainError, MittagLefflerError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except BracketFailureError as exc:
+    except (BracketFailureError, NoMinimizerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOCONV
     except (SchemaError, ExprSyntaxError, GridMismatchError, ValueError) as exc:

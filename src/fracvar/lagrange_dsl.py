@@ -523,6 +523,21 @@ class Lagrangian:
     def dvv(self, t, y, v) -> np.ndarray:
         return evaluate_many(self.d33, t, y, v)
 
+    @property
+    def quadratic(self) -> bool:
+        """Whether F is at most quadratic in (y, v): no second partial depends on y or v."""
+        return not any(_variables(d) & {"y", "v"} for d in (self.d22, self.d23, self.d33))
+
+
+def _variables(e: Expr) -> set[str]:
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, Unary):
+        return _variables(e.arg)
+    if isinstance(e, Binary):
+        return _variables(e.left) | _variables(e.right)
+    return set()
+
 
 class AugmentedLagrangian:
     """H = F - lambda * G, exposing the same evaluation surface as Lagrangian."""

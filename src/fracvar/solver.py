@@ -1,20 +1,24 @@
-"""Direct-method solvers.
+"""Direct-method solver: Newton's method on the interior node values.
 
-Unconstrained problems are minimized over interior node values with
-limited-memory quasi-Newton descent (L-BFGS) followed by an exact-Newton
-polish built from the Lagrangian's second partials; the polish drives the
-gradient far below what L-BFGS alone reaches, which the residual certificates
-need.  Isoperimetric problems wrap the same inner solve in a scalar root-find
-on the multiplier lambda of H = F - lambda*G.
+Each step factors the Hessian of H (F, or F - lambda*G with a constraint),
+built from the Lagrangian's exact second partials, by Cholesky, adding a
+Levenberg shift mu*I, grown tenfold, while it is not positive definite.  With
+a constraint the same factor gives the bordered KKT step on (nodes, lambda)
+through a scalar Schur complement, so the quadratic family F = v^2, G = v is
+one linear solve.  From the affine interpolant of the boundary values, steps
+backtrack on J (Armijo) or, with a constraint, on the KKT residual, until the
+residuals reach min(tol, 1e-12) or a full step no longer lowers them once the
+tolerances are met: the roundoff floor.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .fracgrid import SampledFunction
 from .lagrange_dsl import AugmentedLagrangian
@@ -28,6 +32,7 @@ from .variational import (
 
 __all__ = [
     "BracketFailureError",
+    "NoMinimizerError",
     "SolverOptions",
     "Solution",
     "solve_unconstrained",
@@ -36,11 +41,23 @@ __all__ = [
 
 
 class BracketFailureError(RuntimeError):
-    """The constraint residual does not change sign over the multiplier bracket.
+    """The bordered KKT system is singular (the constraint gradient vanishes),
+    or a multiplier iterate left `lambda_bracket`.
 
-    This can signal that the sought extremizer is an extremal of the
-    constraint functional itself, for which no multiplier exists.
+    A singular bordering is the abnormal extremal of the isoperimetric
+    theorem: an extremal of the constraint functional itself, which has no
+    multiplier.  The CLI maps it to exit code 3.
     """
+
+
+class NoMinimizerError(RuntimeError):
+    """The Hessian (on the constraint's tangent space, if any) is indefinite
+    when the iteration ends: the discrete Legendre/Jacobi condition fails and
+    the problem has no minimizer.  The CLI maps it to exit code 3."""
+
+
+def _finite(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass
@@ -48,15 +65,18 @@ class SolverOptions:
     max_iters: int = 500
     grad_tol: float = 1e-9
     constraint_tol: float = 1e-9
-    line_search: str = "backtracking-armijo"
-    memory: int = 10
     lambda_bracket: tuple[float, float] = (-1e6, 1e6)
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if min(self.grad_tol, self.constraint_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
+        m = self.max_iters
+        if not (isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 1):
+            raise ValueError("max_iters must be an integer >= 1")
+        if not all(_finite(tol) and tol > 0.0 for tol in (self.grad_tol, self.constraint_tol)):
+            raise ValueError("tolerances must be positive finite numbers")
+        b = self.lambda_bracket
+        if not (isinstance(b, (list, tuple)) and len(b) == 2 and all(map(_finite, b)) and b[0] < b[1]):
+            raise ValueError("lambda_bracket must be two finite numbers [lo, hi] with lo < hi")
+        self.lambda_bracket = (float(b[0]), float(b[1]))
 
 
 @dataclass
@@ -71,238 +91,197 @@ class Solution:
 
 
 class _Discretized:
-    """Precomputed pieces for minimizing one H over interior node values."""
+    """Precomputed pieces for functionals of the interior node values."""
 
-    def __init__(self, p: Problem, lagr):
+    def __init__(self, p: Problem):
         self.p = p
-        self.lagr = lagr
         ops = discrete_operators(p.grid, p.order)
         self.t = ops.nodes
         self.w = ops.weights
         self.m = ops.combined_matrix(p.k)
         self.c = ops.split_correction(p.k, p.ya)
 
-    def assemble(self, x: np.ndarray) -> np.ndarray:
+    def point(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Node values y (boundary values attached) and v = y' + k D^alpha y."""
         y = np.empty(self.p.grid.n)
         y[0] = self.p.ya
         y[-1] = self.p.yb
         y[1:-1] = x
-        return y
+        return y, self.m @ y + self.c
 
-    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        y = self.assemble(x)
-        v = self.m @ y + self.c
-        vals = self.lagr.value(self.t, y, v)
-        d2 = self.lagr.dy(self.t, y, v)
-        d3 = self.lagr.dv(self.t, y, v)
-        obj = float(np.dot(self.w, vals))
+    def value_and_grad(self, lagr, y: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
+        vals = lagr.value(self.t, y, v)
+        d2 = lagr.dy(self.t, y, v)
+        d3 = lagr.dv(self.t, y, v)
         grad = (self.w * d2 + self.m.T @ (self.w * d3))[1:-1]
-        return obj, grad
+        return float(np.dot(self.w, vals)), grad
 
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        y = self.assemble(x)
-        v = self.m @ y + self.c
-        d22 = self.lagr.dyy(self.t, y, v)
-        d23 = self.lagr.dyv(self.t, y, v)
-        d33 = self.lagr.dvv(self.t, y, v)
-        wm = self.w[:, None] * self.m
-        hess = (
-            np.diag(self.w * d22)
-            + (self.w * d23)[:, None] * self.m
-            + self.m.T * (self.w * d23)[None, :]
-            + self.m.T @ ((self.w * d33)[:, None] * self.m)
-        )
+    def hessian(self, lagr, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # summed in place: each n x n temporary is a large share of peak memory
+        hess = self.m.T @ ((self.w * lagr.dvv(self.t, y, v))[:, None] * self.m)
+        cross = (self.w * lagr.dyv(self.t, y, v))[:, None] * self.m
+        hess += cross
+        hess += cross.T
+        hess[np.diag_indices_from(hess)] += self.w * lagr.dyy(self.t, y, v)
         return hess[1:-1, 1:-1]
 
 
-def _newton_polish(
-    disc: _Discretized, x: np.ndarray, opts: SolverOptions, target: float
-) -> tuple[np.ndarray, int]:
-    """Drive the gradient max-norm toward `target` with safeguarded Newton steps."""
-    obj, grad = disc.value_and_grad(x)
-    gmax = float(np.max(np.abs(grad))) if grad.size else 0.0
-    iters = 0
-    for _ in range(25):
-        if gmax <= target:
-            break
+@dataclass
+class _Iterate:
+    """One Newton iterate and the first-order quantities at it."""
+
+    x: np.ndarray
+    lam: float | None
+    y: np.ndarray
+    v: np.ndarray
+    objective: float  # J(y), the quadrature of F
+    grad: np.ndarray  # gradient of H = F - lam*G over the interior nodes
+    grad_i: np.ndarray | None = None  # gradient of the constraint functional I
+    constraint: float = 0.0  # I(y) - xi
+
+    def __post_init__(self) -> None:
+        self.gmax = float(np.max(np.abs(self.grad)))
+        self.kkt_max = max(self.gmax, abs(self.constraint))
+        self.kkt_l2 = math.hypot(float(np.linalg.norm(self.grad)), self.constraint)
+
+
+def _evaluate(disc: _Discretized, x: np.ndarray, lam: float | None) -> _Iterate:
+    p = disc.p
+    y, v = disc.point(x)
+    objective, grad = disc.value_and_grad(p.f, y, v)
+    if lam is None:
+        return _Iterate(x, None, y, v, objective, grad)
+    i_value, grad_i = disc.value_and_grad(p.g, y, v)
+    return _Iterate(x, lam, y, v, objective, grad - lam * grad_i, grad_i, i_value - p.xi)
+
+
+def _factor(hess: np.ndarray) -> tuple[tuple, bool]:
+    """Cholesky factor of hess + mu*I with the least mu in {0, mu0 * 10^j}, and
+    whether hess is indefinite: mu0 = 1e-8 max|diag| did not suffice (a shift
+    of mu0 only covers a singular positive semidefinite hess)."""
+    mu = 0.0
+    mu0 = 1e-8 * max(float(np.max(np.abs(np.diag(hess)))), np.finfo(float).tiny)
+    diag = np.diag_indices_from(hess)
+    while True:
+        shifted = hess.copy()
+        shifted[diag] += mu
         try:
-            hess = disc.hessian(x)
-            step = scipy.linalg.solve(hess, -grad, assume_a="sym")
-        except (scipy.linalg.LinAlgError, ValueError):
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        slope = float(np.dot(grad, step))
-        alpha = 1.0
-        accepted = False
-        for _ in range(40):
-            x_new = x + alpha * step
-            try:
-                obj_new, grad_new = disc.value_and_grad(x_new)
-            except ArithmeticError:
-                alpha *= 0.5
-                continue
-            gmax_new = float(np.max(np.abs(grad_new))) if grad_new.size else 0.0
-            armijo = obj_new <= obj + 1e-4 * alpha * slope
-            # near the floating floor the objective is flat; accept on
-            # gradient decrease instead
-            flat_improve = (
-                obj_new <= obj + 1e-12 * max(1.0, abs(obj)) and gmax_new < gmax
-            )
-            if armijo or flat_improve:
-                x, obj, grad, gmax = x_new, obj_new, grad_new, gmax_new
-                accepted = True
-                break
+            return scipy.linalg.cho_factor(shifted, overwrite_a=True), mu > mu0
+        except scipy.linalg.LinAlgError:
+            mu = mu0 if mu == 0.0 else 10.0 * mu
+
+
+def _tangent_definite(hess: np.ndarray, grad_i: np.ndarray) -> bool:
+    """Whether hess is positive definite orthogonally to grad_i: with u = grad_i/|grad_i|
+    and P = I - u u^T, P hess P + u u^T has the reduced Hessian's eigenvalues and 1."""
+    u = grad_i / np.linalg.norm(grad_i)
+    proj = np.eye(u.size) - np.outer(u, u)
+    return bool(np.linalg.eigvalsh(proj @ hess @ proj + np.outer(u, u))[0] > 0.0)
+
+
+def _newton_step(factor: tuple, cur: _Iterate) -> tuple[np.ndarray, float | None]:
+    """Newton step on x, or the bordered KKT step on (x, lam): with K the
+    factored Hessian and a = grad I, [[K, -a], [-a^T, 0]] (dx, dlam) =
+    -(grad H, xi - I) takes two solves with K and the Schur complement a^T K^-1 a."""
+    k_grad = scipy.linalg.cho_solve(factor, cur.grad)
+    if cur.lam is None:
+        return -k_grad, None
+    a = cur.grad_i
+    k_a = scipy.linalg.cho_solve(factor, a)
+    s = float(np.dot(a, k_a))
+    if not s > 1e-12 * float(np.linalg.norm(a)) * float(np.linalg.norm(k_a)):
+        raise BracketFailureError("singular bordered KKT system: abnormal extremal, no multiplier")
+    dlam = (float(np.dot(a, k_grad)) - cur.constraint) / s
+    return dlam * k_a - k_grad, dlam
+
+
+def _line_search(disc: _Discretized, cur: _Iterate, dx: np.ndarray, dlam: float | None) -> _Iterate | None:
+    """Backtrack from the full step; None when no step is accepted, or when a
+    full step changes J only by roundoff and does not lower the KKT max-norm:
+    the roundoff floor, where further steps only creep."""
+    slope = float(np.dot(cur.grad, dx))
+    alpha = 1.0
+    for _ in range(40):
+        try:
+            trial = _evaluate(disc, cur.x + alpha * dx, None if dlam is None else cur.lam + alpha * dlam)
+        except ArithmeticError:
             alpha *= 0.5
-        iters += 1
-        if not accepted:
+            continue
+        flat = abs(trial.objective - cur.objective) <= 1e-12 * max(1.0, abs(cur.objective))
+        if alpha == 1.0 and flat and trial.kkt_max >= cur.kkt_max:
+            return None
+        if dlam is None:
+            # where J is flat at roundoff, a lower gradient is progress
+            accepted = trial.objective <= cur.objective + 1e-4 * alpha * slope or (
+                flat and trial.gmax < cur.gmax
+            )
+        else:
+            accepted = trial.kkt_l2 <= (1.0 - 1e-4 * alpha) * cur.kkt_l2
+        if accepted:
+            return trial
+        alpha *= 0.5
+    return None
+
+
+def _newton(p: Problem, opts: SolverOptions) -> tuple[_Iterate, int]:
+    disc = _Discretized(p)
+    x0 = (p.ya + (p.yb - p.ya) * (disc.t - p.grid.a) / (p.grid.b - p.grid.a))[1:-1]
+    lo, hi = opts.lambda_bracket
+    cur = _evaluate(disc, x0, min(max(0.0, lo), hi) if p.constrained else None)
+    grad_target = min(opts.grad_tol, 1e-12)
+    constraint_target = min(opts.constraint_tol, 1e-12)
+    iters = 0
+    while True:
+        lagr = p.f if cur.lam is None else AugmentedLagrangian(p.f, p.g, cur.lam)
+        hess = disc.hessian(lagr, cur.y, cur.v)
+        factor, indefinite = _factor(hess)
+        # a quadratic J has this Hessian everywhere: indefinite, it is unbounded below
+        unbounded = indefinite and cur.lam is None and p.f.quadratic
+        if unbounded or iters == opts.max_iters or (
+            cur.gmax <= grad_target and abs(cur.constraint) <= constraint_target
+        ):
             break
-    return x, iters
+        dx, dlam = _newton_step(factor, cur)
+        nxt = _line_search(disc, cur, dx, dlam)
+        if nxt is None:
+            break
+        del hess, factor  # not held while the next Hessian is built
+        cur = nxt
+        iters += 1
+        if cur.lam is not None and not lo <= cur.lam <= hi:
+            raise BracketFailureError(f"multiplier iterate {cur.lam!r} left [{lo!r}, {hi!r}]")
+    if indefinite and (cur.grad_i is None or not _tangent_definite(hess, cur.grad_i)):
+        raise NoMinimizerError("no minimizer: Hessian indefinite at the last Newton iterate")
+    return cur, iters
 
 
-def _minimize(p: Problem, lagr, opts: SolverOptions) -> tuple[SampledFunction, int, bool]:
-    """L-BFGS descent from the affine interpolant, then Newton polish."""
-    disc = _Discretized(p, lagr)
-    t = p.grid.nodes()
-    y0 = p.ya + (p.yb - p.ya) * (t - p.grid.a) / (p.grid.b - p.grid.a)
-    x0 = y0[1:-1]
-
-    result = scipy.optimize.minimize(
-        disc.value_and_grad,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options=dict(
-            maxiter=opts.max_iters,
-            maxfun=20 * opts.max_iters,
-            maxcor=opts.memory,
-            ftol=1e-18,
-            gtol=opts.grad_tol,
-        ),
+def _solve(p: Problem, opts: SolverOptions) -> Solution:
+    # an overflow in a trial point is a rejected step, never a warning
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        cur, iters = _newton(p, opts)
+    y = SampledFunction(p.grid, cur.y)
+    residual = None if cur.lam is None else constraint_value(p, y) - p.xi
+    return Solution(
+        y=y,
+        objective=functional_value(p, y),
+        el_norm=el_residual(p, y, cur.lam).norm_max_interior,
+        iterations=iters,
+        converged=cur.gmax <= opts.grad_tol and abs(residual or 0.0) <= opts.constraint_tol,
+        lam=cur.lam,
+        constraint_residual=residual,
     )
-    if not np.all(np.isfinite(result.x)):
-        raise FloatingPointError("line search produced a non-finite iterate")
-
-    polish_target = min(opts.grad_tol, 1e-12)
-    x, polish_iters = _newton_polish(disc, result.x, opts, polish_target)
-    _, grad = disc.value_and_grad(x)
-    gmax = float(np.max(np.abs(grad))) if grad.size else 0.0
-    converged = gmax <= opts.grad_tol
-    y = SampledFunction(p.grid, disc.assemble(x))
-    return y, int(result.nit) + polish_iters, converged
 
 
 def solve_unconstrained(p: Problem, opts: SolverOptions | None = None) -> Solution:
     """Minimize the discretized functional; p must have no constraint."""
     if p.constrained:
         raise ValueError("problem has an isoperimetric constraint; use solve_isoperimetric")
-    opts = opts or SolverOptions()
-    y, iters, converged = _minimize(p, p.f, opts)
-    return Solution(
-        y=y,
-        objective=functional_value(p, y),
-        el_norm=el_residual(p, y).norm_max_interior,
-        iterations=iters,
-        converged=converged,
-    )
-
-
-def _seed_multiplier(p: Problem) -> float:
-    # Fast path for the quadratic family F = v^2, G = v, whose multiplier is 2*xi.
-    f_src = (p.f.source or "").replace(" ", "")
-    g_src = (p.g.source or "").replace(" ", "") if p.g is not None else ""
-    if f_src == "v^2" and g_src == "v":
-        return 2.0 * p.xi
-    return 0.0
+    return _solve(p, opts or SolverOptions())
 
 
 def solve_isoperimetric(p: Problem, opts: SolverOptions | None = None) -> Solution:
-    """Outer root-find on lambda, inner unconstrained minimization of H."""
+    """Newton on (interior nodes, lambda) for the stationary points of F - lambda*G
+    that meet the constraint."""
     if not p.constrained:
         raise ValueError("problem has no isoperimetric constraint; use solve_unconstrained")
-    opts = opts or SolverOptions()
-    lo, hi = opts.lambda_bracket
-
-    cache: dict[float, tuple[SampledFunction, int, bool, float]] = {}
-
-    def probe(lam: float) -> tuple[SampledFunction, int, bool, float]:
-        if lam not in cache:
-            y, iters, conv = _minimize(p, AugmentedLagrangian(p.f, p.g, lam), opts)
-            cache[lam] = (y, iters, conv, constraint_value(p, y) - p.xi)
-        return cache[lam]
-
-    def finish(lam: float) -> Solution:
-        y, _, inner_conv, res = probe(lam)
-        total_iters = sum(entry[1] for entry in cache.values())
-        converged = inner_conv and abs(res) <= opts.constraint_tol
-        return Solution(
-            y=y,
-            objective=functional_value(p, y),
-            el_norm=el_residual(p, y, lam).norm_max_interior,
-            iterations=total_iters,
-            converged=converged,
-            lam=lam,
-            constraint_residual=res,
-        )
-
-    lam0 = min(max(_seed_multiplier(p), lo), hi)
-    _, _, _, r0 = probe(lam0)
-    if abs(r0) <= opts.constraint_tol:
-        return finish(lam0)
-
-    lam1 = min(max(lam0 + max(1.0, 0.5 * abs(lam0)), lo), hi)
-    if lam1 == lam0:
-        lam1 = lam0 - max(1.0, 0.5 * abs(lam0))
-    _, _, _, r1 = probe(lam1)
-
-    bracket: tuple[float, float] | None = None
-    if r0 * r1 < 0.0:
-        bracket = (lam0, lam1)
-    else:
-        # geometric expansion away from the seed until the residual changes sign
-        span = abs(lam1 - lam0)
-        direction = -1.0 if abs(r1) > abs(r0) else 1.0
-        base = lam0 if direction < 0.0 else lam1
-        r_base = r0 if direction < 0.0 else r1
-        for _ in range(60):
-            span *= 2.0
-            cand = base + direction * span
-            if cand < lo or cand > hi:
-                cand = lo if direction < 0.0 else hi
-            _, _, _, r_cand = probe(cand)
-            if r_base * r_cand < 0.0:
-                bracket = tuple(sorted((base, cand)))  # type: ignore[assignment]
-                break
-            if cand in (lo, hi):
-                raise BracketFailureError(
-                    "constraint residual does not change sign over the multiplier "
-                    "bracket; the extremizer may be an extremal of the constraint"
-                )
-        if bracket is None:
-            raise BracketFailureError(
-                "constraint residual does not change sign over the multiplier bracket"
-            )
-
-    a, b = bracket
-    ra = probe(a)[3]
-    rb = probe(b)[3]
-    best = a if abs(ra) <= abs(rb) else b
-    for _ in range(80):
-        if abs(probe(best)[3]) <= opts.constraint_tol:
-            return finish(best)
-        # secant proposal, safeguarded by bisection within the bracket
-        denom = rb - ra
-        cand = b - rb * (b - a) / denom if denom != 0.0 else 0.5 * (a + b)
-        if not (a < cand < b):
-            cand = 0.5 * (a + b)
-        rc = probe(cand)[3]
-        if abs(rc) <= opts.constraint_tol:
-            return finish(cand)
-        if ra * rc < 0.0:
-            b, rb = cand, rc
-        else:
-            a, ra = cand, rc
-        best = cand
-        if b - a <= 1e-15 * max(1.0, abs(a) + abs(b)):
-            break
-    return finish(best)
+    return _solve(p, opts or SolverOptions())

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -76,6 +77,27 @@ class TestSolve:
         else:
             assert code == EXIT_OK
 
+    def test_no_minimizer(self, tmp_path, capsys):
+        # J = int v^2 - 30 y^2 is unbounded below (its Hessian is indefinite)
+        path = write_problem(tmp_path, F="v^2 - 30*y^2", n=201)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "solve", path)
+        assert code == EXIT_NOCONV
+        assert "no minimizer: Hessian indefinite" in err
+        assert out == ""
+        assert not (tmp_path / "problem.out.csv").exists()
+        assert caught == []
+
+    def test_ignored_solver_keys(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path, k=0.0, solver={"memory": 10, "line_search": "backtracking-armijo"}
+        )
+        code, _, err = run(capsys, "solve", path)
+        assert code == EXIT_OK
+        assert err.count("note:") == 2
+        assert '"memory"' in err and '"line_search"' in err
+
     def test_determinism(self, tmp_path, capsys):
         path = write_problem(tmp_path, G="v", xi=1.0, yb="auto-reference", n=101)
         digests = []
@@ -130,6 +152,27 @@ class TestSchemaErrors:
         path = write_problem(tmp_path, solver={"verbosity": 2})
         code, _, _ = run(capsys, "solve", path)
         assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            {"lambda_bracket": [1]},
+            {"lambda_bracket": 5},
+            {"lambda_bracket": [100, -100]},
+            {"max_iters": 2.7},
+        ],
+    )
+    def test_bad_solver_option(self, tmp_path, capsys, solver):
+        path = write_problem(tmp_path, G="v", xi=1.0, solver=solver)
+        code, _, err = run(capsys, "solve", path)
+        assert code == EXIT_SCHEMA
+        assert "error:" in err
+
+    def test_quiet_rejected(self, tmp_path, capsys):
+        path = write_problem(tmp_path, k=0.0)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(path), "--quiet"])
+        assert exc.value.code == EXIT_SCHEMA
 
     def test_auto_reference_needs_xi(self, tmp_path, capsys):
         path = write_problem(tmp_path, yb="auto-reference")
@@ -229,6 +272,14 @@ class TestConvergence:
         errors = [entry["error"] for entry in report["entries"]]
         assert errors[0] > errors[1] > errors[2]
         assert all(order is None or order > 0.5 for order in report["orders"])
+
+    def test_reference_family_by_structure(self, tmp_path, capsys):
+        # "(v)^2" parses to the same expression as "v^2", so the reference
+        # extremal is used and the finest grid is not compared with itself
+        path = write_problem(tmp_path, F="(v)^2", G="v", xi=1.0, yb="auto-reference")
+        code, out, _ = run(capsys, "convergence", path, "--grids", 101, 201)
+        assert code == EXIT_OK
+        assert json.loads(out.strip())["entries"][-1]["error"] > 0.0
 
     def test_self_convergence(self, tmp_path, capsys):
         path = write_problem(tmp_path, F="v^2 + y^2", k=0.5, alpha=0.3)

@@ -36,13 +36,19 @@ class TestSolverOptions:
         assert opts.max_iters == 500
         assert opts.grad_tol == 1e-9
         assert opts.constraint_tol == 1e-9
-        assert opts.memory == 10
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverOptions(max_iters=0)
-        with pytest.raises(ValueError):
-            SolverOptions(grad_tol=0.0)
+        for kwargs in (
+            dict(max_iters=0),
+            dict(max_iters=2.7),
+            dict(grad_tol=0.0),
+            dict(lambda_bracket=[1.0]),
+            dict(lambda_bracket=5.0),
+            dict(lambda_bracket=[100.0, -100.0]),
+            dict(lambda_bracket=[0.0, float("inf")]),
+        ):
+            with pytest.raises(ValueError):
+                SolverOptions(**kwargs)
 
 
 class TestUnconstrained:
@@ -92,6 +98,22 @@ class TestUnconstrained:
         grad = discrete_gradient(p, sol.y)
         assert np.max(np.abs(grad)) <= 1e-9
 
+    def test_indefinite_start(self):
+        # the Hessian is indefinite at the affine start, so the first steps
+        # carry a Levenberg shift; the y^4 term bounds J below
+        p = Problem(
+            f=Lagrangian.parse("v^2 - 15*y^2 + y^4"),
+            k=0.0,
+            order=FracOrder(0.5),
+            grid=Grid(0.0, 1.0, 401),
+            ya=0.0,
+            yb=1.0,
+        )
+        sol = solve_unconstrained(p)
+        assert sol.converged
+        assert np.max(np.abs(discrete_gradient(p, sol.y))) <= 1e-9
+        assert sol.objective == pytest.approx(-17.10634854169496, rel=1e-9)
+
     def test_nonconvergence_reported(self):
         p = quadratic_problem(0.5, 1.0, 201, 1.0)
         sol = solve_unconstrained(p, SolverOptions(max_iters=1, grad_tol=1e-14))
@@ -119,6 +141,8 @@ class TestIsoperimetric:
         p = quadratic_problem(0.5, 1.0, 501, boundary_value(spec), xi=1.0)
         sol = solve_isoperimetric(p)
         assert sol.converged
+        # F - lambda*G is quadratic: the bordered Newton system is solved once
+        assert sol.iterations <= 3
         # certificates re-derived from the trajectory, not trusted from the
         # solver's own bookkeeping
         assert constraint_value(p, sol.y) - 1.0 == pytest.approx(0.0, abs=1e-9)
@@ -155,6 +179,50 @@ class TestIsoperimetric:
             lams[xi] = sol.lam
         assert lams[2.0] / lams[0.5] == pytest.approx(4.0, rel=1e-6)
         assert lams[0.5] == pytest.approx(1.0, abs=3e-2)
+
+    def test_nonlinear_constraint(self):
+        p = Problem(
+            f=Lagrangian.parse("v^2+y^2"),
+            k=1.0,
+            order=FracOrder(0.5),
+            grid=Grid(0.0, 1.0, 301),
+            ya=0.0,
+            yb=1.0,
+            g=Lagrangian.parse("y^2"),
+            xi=0.5,
+        )
+        sol = solve_isoperimetric(p)
+        assert sol.converged
+        assert abs(constraint_value(p, sol.y) - 0.5) <= 1e-9
+        assert np.max(np.abs(discrete_gradient(p, sol.y, lam=sol.lam))) <= 1e-9
+        assert sol.lam == pytest.approx(6.342587721923476, rel=1e-7)
+
+    def test_stall_reported(self):
+        # the first bordered step overshoots to a multiplier at which
+        # F - lambda*G is indefinite; whatever the iteration reaches, the
+        # converged flag must agree with the certificates
+        p = Problem(
+            f=V2,
+            k=1.0,
+            order=FracOrder(0.5),
+            grid=Grid(0.0, 1.0, 201),
+            ya=0.0,
+            yb=1.0,
+            g=Lagrangian.parse("y^2"),
+            xi=10.0,
+        )
+        sol = solve_isoperimetric(p)
+        grad = discrete_gradient(p, sol.y, lam=sol.lam)
+        certified = np.max(np.abs(grad)) <= 1e-9 and abs(sol.constraint_residual) <= 1e-9
+        assert sol.converged == certified
+
+    def test_multiplier_outside_bracket(self):
+        grid = Grid(0.0, 1.0, 101)
+        spec = ReferenceSpec(k=1.0, order=FracOrder(0.5), xi=1.0, grid=grid)
+        p = quadratic_problem(0.5, 1.0, 101, boundary_value(spec), xi=1.0)
+        # the multiplier is near 2
+        with pytest.raises(BracketFailureError):
+            solve_isoperimetric(p, SolverOptions(lambda_bracket=(-1.0, 1.0)))
 
     def test_bracket_failure(self):
         # a constraint functional that does not depend on the trajectory can
