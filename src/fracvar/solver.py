@@ -1,18 +1,21 @@
 """Direct-method solver: Newton's method on the interior node values.
 
 Each step factors the Hessian of H (F, or F - lambda*G with a constraint),
-built from the Lagrangian's exact second partials, by Cholesky, adding a
-Levenberg shift mu*I, grown tenfold, while it is not positive definite.  With
-a constraint the same factor gives the bordered KKT step on (nodes, lambda)
+built from the Lagrangian's exact second partials, by Cholesky.  With a
+constraint the same factor gives the bordered KKT step on (nodes, lambda)
 through a scalar Schur complement, so the quadratic family F = v^2, G = v is
-one linear solve.  From the affine interpolant of the boundary values, steps
-backtrack on J (Armijo) or, with a constraint, on the KKT residual, until the
-residuals reach min(tol, 1e-12) or a full step no longer lowers them once the
-tolerances are met: the roundoff floor.
+one linear solve.  A Hessian that is not positive definite is made so by
+adding sigma*a*a^T (a the constraint gradient), which leaves the KKT step
+exact and works when the Hessian is definite on the constraint's tangent
+space, or else a Levenberg shift mu*I, grown tenfold.  From the affine
+interpolant of the boundary values, steps backtrack on J (Armijo) or, with a
+constraint, on the KKT residual, until the residuals reach min(tol, 1e-12) or
+a full step changes J only by roundoff and no longer lowers them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -42,7 +45,7 @@ __all__ = [
 
 class BracketFailureError(RuntimeError):
     """The bordered KKT system is singular (the constraint gradient vanishes),
-    or a multiplier iterate left `lambda_bracket`.
+    or the final multiplier lies outside `lambda_bracket`.
 
     A singular bordering is the abnormal extremal of the isoperimetric
     theorem: an extremal of the constraint functional itself, which has no
@@ -51,9 +54,10 @@ class BracketFailureError(RuntimeError):
 
 
 class NoMinimizerError(RuntimeError):
-    """The Hessian (on the constraint's tangent space, if any) is indefinite
-    when the iteration ends: the discrete Legendre/Jacobi condition fails and
-    the problem has no minimizer.  The CLI maps it to exit code 3."""
+    """The discrete Legendre/Jacobi condition fails where that is proof: the
+    Hessian is indefinite and J quadratic (so unbounded below), or, on the
+    constraint's tangent space if any, at the stationary point reached (a
+    saddle).  The CLI maps it to exit code 3."""
 
 
 def _finite(x) -> bool:
@@ -69,8 +73,9 @@ class SolverOptions:
 
     def __post_init__(self) -> None:
         m = self.max_iters
-        if not (isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 1):
+        if not (_finite(m) and m == int(m) and m >= 1):
             raise ValueError("max_iters must be an integer >= 1")
+        self.max_iters = int(m)
         if not all(_finite(tol) and tol > 0.0 for tol in (self.grad_tol, self.constraint_tol)):
             raise ValueError("tolerances must be positive finite numbers")
         b = self.lambda_bracket
@@ -155,20 +160,24 @@ def _evaluate(disc: _Discretized, x: np.ndarray, lam: float | None) -> _Iterate:
     return _Iterate(x, lam, y, v, objective, grad - lam * grad_i, grad_i, i_value - p.xi)
 
 
-def _factor(hess: np.ndarray) -> tuple[tuple, bool]:
-    """Cholesky factor of hess + mu*I with the least mu in {0, mu0 * 10^j}, and
-    whether hess is indefinite: mu0 = 1e-8 max|diag| did not suffice (a shift
-    of mu0 only covers a singular positive semidefinite hess)."""
-    mu = 0.0
-    mu0 = 1e-8 * max(float(np.max(np.abs(np.diag(hess)))), np.finfo(float).tiny)
-    diag = np.diag_indices_from(hess)
-    while True:
-        shifted = hess.copy()
-        shifted[diag] += mu
+def _factor(hess: np.ndarray, a: np.ndarray | None) -> tuple[tuple, float, bool]:
+    """Cholesky factor of hess, else of hess + sigma*a*a^T with the least sigma in
+    {sigma0 * 10^j, j <= 8}, else of hess + mu*I with the least mu in {mu0 * 10^j}.
+    sigma*a*a^T leaves the bordered KKT step exact (see _newton_step) and works
+    when hess is definite orthogonally to a; mu*I changes the step.  Returns the
+    factor, sigma, and whether hess is indefinite: mu0 = 1e-8 max|diag| did not
+    suffice (it only covers a singular positive semidefinite hess)."""
+    scale = max(float(np.max(np.abs(np.diag(hess)))), np.finfo(float).tiny)
+    a_sq = 0.0 if a is None else float(np.dot(a, a))
+    mu0 = 1e-8 * scale
+    tries = [(0.0, 0.0)] + [(scale / a_sq * 10.0**j, 0.0) for j in range(9) if a_sq > 0.0]
+    for sigma, mu in itertools.chain(tries, ((0.0, mu0 * 10.0**j) for j in itertools.count())):
+        shifted = hess + np.outer(a, sigma * a) if sigma else hess.copy()
+        shifted[np.diag_indices_from(hess)] += mu
         try:
-            return scipy.linalg.cho_factor(shifted, overwrite_a=True), mu > mu0
+            return scipy.linalg.cho_factor(shifted, overwrite_a=True), sigma, mu > mu0
         except scipy.linalg.LinAlgError:
-            mu = mu0 if mu == 0.0 else 10.0 * mu
+            pass
 
 
 def _tangent_definite(hess: np.ndarray, grad_i: np.ndarray) -> bool:
@@ -179,10 +188,12 @@ def _tangent_definite(hess: np.ndarray, grad_i: np.ndarray) -> bool:
     return bool(np.linalg.eigvalsh(proj @ hess @ proj + np.outer(u, u))[0] > 0.0)
 
 
-def _newton_step(factor: tuple, cur: _Iterate) -> tuple[np.ndarray, float | None]:
+def _newton_step(factor: tuple, sigma: float, cur: _Iterate) -> tuple[np.ndarray, float | None]:
     """Newton step on x, or the bordered KKT step on (x, lam): with K the
-    factored Hessian and a = grad I, [[K, -a], [-a^T, 0]] (dx, dlam) =
-    -(grad H, xi - I) takes two solves with K and the Schur complement a^T K^-1 a."""
+    Hessian and a = grad I, [[K, -a], [-a^T, 0]] (dx, dlam) = -(grad H, I - xi).
+    The factored matrix is K~ = K + sigma*a*a^T; since a^T dx = xi - I, the
+    system is [[K~, -a], [-a^T, 0]] (dx, dlam - sigma*(I - xi)) = -(grad H, I - xi),
+    two solves with K~ and the Schur complement a^T K~^-1 a."""
     k_grad = scipy.linalg.cho_solve(factor, cur.grad)
     if cur.lam is None:
         return -k_grad, None
@@ -192,7 +203,7 @@ def _newton_step(factor: tuple, cur: _Iterate) -> tuple[np.ndarray, float | None
     if not s > 1e-12 * float(np.linalg.norm(a)) * float(np.linalg.norm(k_a)):
         raise BracketFailureError("singular bordered KKT system: abnormal extremal, no multiplier")
     dlam = (float(np.dot(a, k_grad)) - cur.constraint) / s
-    return dlam * k_a - k_grad, dlam
+    return dlam * k_a - k_grad, dlam + sigma * cur.constraint
 
 
 def _line_search(disc: _Discretized, cur: _Iterate, dx: np.ndarray, dlam: float | None) -> _Iterate | None:
@@ -234,24 +245,26 @@ def _newton(p: Problem, opts: SolverOptions) -> tuple[_Iterate, int]:
     while True:
         lagr = p.f if cur.lam is None else AugmentedLagrangian(p.f, p.g, cur.lam)
         hess = disc.hessian(lagr, cur.y, cur.v)
-        factor, indefinite = _factor(hess)
+        factor, sigma, indefinite = _factor(hess, cur.grad_i)
         # a quadratic J has this Hessian everywhere: indefinite, it is unbounded below
-        unbounded = indefinite and cur.lam is None and p.f.quadratic
-        if unbounded or iters == opts.max_iters or (
-            cur.gmax <= grad_target and abs(cur.constraint) <= constraint_target
-        ):
+        if indefinite and cur.lam is None and p.f.quadratic:
+            raise NoMinimizerError("no minimizer: Hessian indefinite, and J is quadratic, so unbounded below")
+        if iters == opts.max_iters or (cur.gmax <= grad_target and abs(cur.constraint) <= constraint_target):
             break
-        dx, dlam = _newton_step(factor, cur)
+        dx, dlam = _newton_step(factor, sigma, cur)
         nxt = _line_search(disc, cur, dx, dlam)
         if nxt is None:
             break
         del hess, factor  # not held while the next Hessian is built
         cur = nxt
         iters += 1
-        if cur.lam is not None and not lo <= cur.lam <= hi:
-            raise BracketFailureError(f"multiplier iterate {cur.lam!r} left [{lo!r}, {hi!r}]")
-    if indefinite and (cur.grad_i is None or not _tangent_definite(hess, cur.grad_i)):
-        raise NoMinimizerError("no minimizer: Hessian indefinite at the last Newton iterate")
+    if cur.lam is not None and not lo <= cur.lam <= hi:
+        raise BracketFailureError(f"multiplier {cur.lam!r} outside lambda_bracket [{lo!r}, {hi!r}]")
+    # a stationary point at which the Hessian (on the constraint's tangent
+    # space) is indefinite is a saddle, not a minimizer
+    stationary = cur.gmax <= opts.grad_tol and abs(cur.constraint) <= opts.constraint_tol
+    if stationary and indefinite and (cur.grad_i is None or not _tangent_definite(hess, cur.grad_i)):
+        raise NoMinimizerError("no minimizer: Hessian indefinite at the stationary point reached")
     return cur, iters
 
 

@@ -98,6 +98,11 @@ class TestSolve:
         assert err.count("note:") == 2
         assert '"memory"' in err and '"line_search"' in err
 
+    def test_integral_float_max_iters(self, tmp_path, capsys):
+        path = write_problem(tmp_path, k=0.0, solver={"max_iters": 500.0})
+        code, _, _ = run(capsys, "solve", path)
+        assert code == EXIT_OK
+
     def test_determinism(self, tmp_path, capsys):
         path = write_problem(tmp_path, G="v", xi=1.0, yb="auto-reference", n=101)
         digests = []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from fracvar.lagrange_dsl import Lagrangian
 from fracvar.reference import ReferenceSpec, boundary_value, ml_convolution_extremal
 from fracvar.solver import (
     BracketFailureError,
+    NoMinimizerError,
     Solution,
     SolverOptions,
     solve_isoperimetric,
@@ -49,6 +52,11 @@ class TestSolverOptions:
         ):
             with pytest.raises(ValueError):
                 SolverOptions(**kwargs)
+
+    def test_integral_float_max_iters(self):
+        # a JSON number such as 500.0 names an integer count
+        opts = SolverOptions(max_iters=500.0)
+        assert opts.max_iters == 500 and isinstance(opts.max_iters, int)
 
 
 class TestUnconstrained:
@@ -98,21 +106,43 @@ class TestUnconstrained:
         grad = discrete_gradient(p, sol.y)
         assert np.max(np.abs(grad)) <= 1e-9
 
-    def test_indefinite_start(self):
+    @staticmethod
+    def indefinite_start_problem(c):
         # the Hessian is indefinite at the affine start, so the first steps
         # carry a Levenberg shift; the y^4 term bounds J below
-        p = Problem(
-            f=Lagrangian.parse("v^2 - 15*y^2 + y^4"),
+        return Problem(
+            f=Lagrangian.parse(f"v^2 - {c}*y^2 + y^4"),
             k=0.0,
             order=FracOrder(0.5),
             grid=Grid(0.0, 1.0, 401),
             ya=0.0,
             yb=1.0,
         )
+
+    def test_indefinite_start(self):
+        p = self.indefinite_start_problem(15)
         sol = solve_unconstrained(p)
         assert sol.converged
         assert np.max(np.abs(discrete_gradient(p, sol.y))) <= 1e-9
         assert sol.objective == pytest.approx(-17.10634854169496, rel=1e-9)
+
+    def test_indefinite_iterate_not_proof(self):
+        # the Hessian stays indefinite for the first 7 iterates; stopped by
+        # the cap there, a problem that has a minimizer is not converged,
+        # which is not an error
+        sol = solve_unconstrained(self.indefinite_start_problem(40), SolverOptions(max_iters=2))
+        assert not sol.converged
+        assert sol.iterations == 2
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_saddle_not_converged(self, constrained):
+        # y = 0 is stationary and the start; -100*y^2 makes it a saddle, also
+        # on the tangent space of int y = 0, which holds the mode sin(2 pi t)
+        p = dataclasses.replace(self.indefinite_start_problem(100), yb=0.0)
+        if constrained:
+            p = dataclasses.replace(p, g=Lagrangian.parse("y"), xi=0.0)
+        with pytest.raises(NoMinimizerError):
+            (solve_isoperimetric if constrained else solve_unconstrained)(p)
 
     def test_nonconvergence_reported(self):
         p = quadratic_problem(0.5, 1.0, 201, 1.0)
@@ -197,10 +227,12 @@ class TestIsoperimetric:
         assert np.max(np.abs(discrete_gradient(p, sol.y, lam=sol.lam))) <= 1e-9
         assert sol.lam == pytest.approx(6.342587721923476, rel=1e-7)
 
-    def test_stall_reported(self):
-        # the first bordered step overshoots to a multiplier at which
-        # F - lambda*G is indefinite; whatever the iteration reaches, the
-        # converged flag must agree with the certificates
+    @pytest.mark.parametrize("bracket", [(-1e6, 1e6), (0.0, 20.0)])
+    def test_overshoot_into_indefinite(self, bracket):
+        # from lambda = 0 the first bordered step overshoots to lambda = 24.7,
+        # where F - lambda*G is indefinite but still definite on the
+        # constraint's tangent space; the bracket (0, 20) holds the
+        # multiplier but not that iterate
         p = Problem(
             f=V2,
             k=1.0,
@@ -211,10 +243,12 @@ class TestIsoperimetric:
             g=Lagrangian.parse("y^2"),
             xi=10.0,
         )
-        sol = solve_isoperimetric(p)
-        grad = discrete_gradient(p, sol.y, lam=sol.lam)
-        certified = np.max(np.abs(grad)) <= 1e-9 and abs(sol.constraint_residual) <= 1e-9
-        assert sol.converged == certified
+        sol = solve_isoperimetric(p, SolverOptions(lambda_bracket=bracket))
+        assert sol.converged
+        assert abs(sol.constraint_residual) <= 1e-9
+        assert np.max(np.abs(discrete_gradient(p, sol.y, lam=sol.lam))) <= 1e-9
+        # the multiplier-search solver's value, which met the constraint to 7e-10
+        assert sol.lam == pytest.approx(15.919790187215412, rel=1e-9)
 
     def test_multiplier_outside_bracket(self):
         grid = Grid(0.0, 1.0, 101)
