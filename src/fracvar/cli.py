@@ -7,7 +7,8 @@ significant digits so runs are byte-reproducible.
 
 Exit codes: 0 success/converged, 2 parse/schema/precondition error,
 3 solver non-convergence, no minimizer, or an abnormal (multiplier-free)
-constraint, 4 numeric domain error.
+constraint, 4 numeric domain error, or out of memory (the dense operators
+grow as n^2).
 """
 
 from __future__ import annotations
@@ -241,21 +242,15 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         sol = solve_isoperimetric(p, opts) if p.constrained else solve_unconstrained(p, opts)
         solutions[n] = (p, sol)
 
-    # the quadratic family has a semi-analytic reference; otherwise compare
-    # against the finest-grid solution
-    has_reference = (
-        p.grid.a == 0.0 and p.f.f == parse("v^2") and (p.g is None or p.g.f == parse("v"))
-    )
+    # the constrained quadratic family F = v^2, G = v has a semi-analytic
+    # reference; otherwise compare against the finest-grid solution
+    has_reference = p.grid.a == 0.0 and p.f.f == parse("v^2") and p.g is not None and p.g.f == parse("v")
 
     entries = []
     if has_reference:
         for n in sizes:
             p, sol = solutions[n]
-            if "xi" in doc:
-                spec = ReferenceSpec(k=p.k, order=p.order, xi=float(doc["xi"]), grid=p.grid)
-                ref = ml_convolution_extremal(spec).values
-            else:
-                ref = p.ya + (p.yb - p.ya) * (p.grid.nodes() - p.grid.a) / (p.grid.b - p.grid.a)
+            ref = ml_convolution_extremal(ReferenceSpec(k=p.k, order=p.order, xi=p.xi, grid=p.grid)).values
             entries.append({"n": n, "error": float(np.max(np.abs(sol.y.values - ref)))})
     else:
         finest_p, finest_sol = solutions[sizes[-1]]
@@ -332,6 +327,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SchemaError, ExprSyntaxError, GridMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except MemoryError:
+        print("error: out of memory: the dense operators grow as n^2; use a smaller n", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

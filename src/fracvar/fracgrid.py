@@ -2,10 +2,14 @@
 
 The fractional operators are first-order (unshifted) Grunwald-Letnikov
 discretizations of the left and right Riemann-Liouville derivatives of order
-0 < alpha < 1, stored as dense triangular matrices.  Row 0 of a left operator
-and row n-1 of a right operator are boundary rows: the continuous derivative
-is singular there whenever the function does not vanish at that endpoint, so
-callers exclude them from residual norms.
+0 < alpha < 1.  The left operator is one dense lower-triangular Toeplitz
+matrix of the GL weights (a discrete convolution); the right operator is its
+exact transpose, which callers that hold the left matrix take as the
+transposed view rather than a second matrix.  Row 0 of a left operator and
+row n-1 of a right operator are boundary rows: the continuous derivative is
+singular there whenever the function does not vanish at that endpoint, so
+callers exclude them from residual norms.  The classical stencil and the
+left boundary split also act on plain arrays, for the variational layer.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .special import gamma
 
@@ -30,7 +35,9 @@ __all__ = [
     "assemble_frac_operator",
     "apply",
     "left_derivative_split",
+    "split_left_derivative",
     "classical_derivative",
+    "derivative_stencil",
     "trapezoid_integral",
     "variational_weights",
 ]
@@ -104,7 +111,8 @@ class Side(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class FracOperator:
-    """Dense triangular Grunwald-Letnikov matrix for one side and order."""
+    """Dense triangular Grunwald-Letnikov matrix for one side and order
+    (lower-triangular Toeplitz for the left side, its transpose for the right)."""
 
     grid: Grid
     order: FracOrder
@@ -131,12 +139,7 @@ def gl_weights(order: FracOrder, count: int) -> np.ndarray:
 
 def assemble_frac_operator(grid: Grid, order: FracOrder, side: Side) -> FracOperator:
     w = gl_weights(order, grid.n) / grid.h**order.alpha
-    n = grid.n
-    mat = np.zeros((n, n))
-    idx = np.arange(n)
-    lower = idx[:, None] - idx[None, :]
-    mask = lower >= 0
-    mat[mask] = w[lower[mask]]
+    mat = scipy.linalg.toeplitz(w, np.zeros(grid.n))
     if side is Side.RIGHT:
         mat = mat.T.copy()
     mat.flags.writeable = False
@@ -159,29 +162,39 @@ def left_derivative_split(op: FracOperator, f: SampledFunction) -> SampledFuncti
     restores accuracy at interior nodes.  Node 0 keeps the plain GL value
     (the continuous derivative is infinite there when f(a) != 0).
     """
-    if op.side is not Side.LEFT:
-        raise ValueError("boundary split applies to left operators only")
     if f.grid != op.grid:
         raise GridMismatchError("operator and function are sampled on different grids")
-    fa = f.values[0]
-    out = op.weights @ (f.values - fa)
+    return SampledFunction(f.grid, split_left_derivative(op, f.values))
+
+
+def split_left_derivative(op: FracOperator, values: np.ndarray) -> np.ndarray:
+    """`left_derivative_split` on the node values of a function on op's grid."""
+    if op.side is not Side.LEFT:
+        raise ValueError("boundary split applies to left operators only")
+    fa = values[0]
+    out = op.weights @ (values - fa)
     if fa != 0.0:
         alpha = op.order.alpha
-        t = f.grid.nodes()
-        out[1:] += fa * (t[1:] - f.grid.a) ** (-alpha) / gamma(1.0 - alpha)
-        out[0] = (op.weights @ f.values)[0]
-    return SampledFunction(f.grid, out)
+        t = op.grid.nodes()
+        out[1:] += fa * (t[1:] - op.grid.a) ** (-alpha) / gamma(1.0 - alpha)
+        out[0] = op.weights[0, 0] * fa
+    return out
 
 
 def classical_derivative(f: SampledFunction) -> SampledFunction:
     """Second-order first derivative: central stencils inside, one-sided at ends."""
-    v = f.values
-    h = f.grid.h
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return SampledFunction(f.grid, out)
+    return SampledFunction(f.grid, derivative_stencil(f.values, f.grid.h))
+
+
+def derivative_stencil(x: np.ndarray, h: float) -> np.ndarray:
+    """The classical stencil D_c applied along axis 0: D_c x for node values x,
+    or D_c X for a matrix X (so D_c itself is the stencil of the identity)."""
+    out = np.empty_like(x, dtype=float)
+    np.subtract(x[2:], x[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * h
+    out[0] = (-3.0 * x[0] + 4.0 * x[1] - x[2]) / (2.0 * h)
+    out[-1] = (3.0 * x[-1] - 4.0 * x[-2] + x[-3]) / (2.0 * h)
+    return out
 
 
 def trapezoid_integral(f: SampledFunction) -> float:

@@ -25,13 +25,7 @@ import scipy.linalg
 
 from .fracgrid import SampledFunction
 from .lagrange_dsl import AugmentedLagrangian
-from .variational import (
-    Problem,
-    constraint_value,
-    discrete_operators,
-    el_residual,
-    functional_value,
-)
+from .variational import Discretization, Problem, el_residual
 
 __all__ = [
     "BracketFailureError",
@@ -95,42 +89,6 @@ class Solution:
     constraint_residual: float | None = None
 
 
-class _Discretized:
-    """Precomputed pieces for functionals of the interior node values."""
-
-    def __init__(self, p: Problem):
-        self.p = p
-        ops = discrete_operators(p.grid, p.order)
-        self.t = ops.nodes
-        self.w = ops.weights
-        self.m = ops.combined_matrix(p.k)
-        self.c = ops.split_correction(p.k, p.ya)
-
-    def point(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Node values y (boundary values attached) and v = y' + k D^alpha y."""
-        y = np.empty(self.p.grid.n)
-        y[0] = self.p.ya
-        y[-1] = self.p.yb
-        y[1:-1] = x
-        return y, self.m @ y + self.c
-
-    def value_and_grad(self, lagr, y: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
-        vals = lagr.value(self.t, y, v)
-        d2 = lagr.dy(self.t, y, v)
-        d3 = lagr.dv(self.t, y, v)
-        grad = (self.w * d2 + self.m.T @ (self.w * d3))[1:-1]
-        return float(np.dot(self.w, vals)), grad
-
-    def hessian(self, lagr, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # summed in place: each n x n temporary is a large share of peak memory
-        hess = self.m.T @ ((self.w * lagr.dvv(self.t, y, v))[:, None] * self.m)
-        cross = (self.w * lagr.dyv(self.t, y, v))[:, None] * self.m
-        hess += cross
-        hess += cross.T
-        hess[np.diag_indices_from(hess)] += self.w * lagr.dyy(self.t, y, v)
-        return hess[1:-1, 1:-1]
-
-
 @dataclass
 class _Iterate:
     """One Newton iterate and the first-order quantities at it."""
@@ -150,14 +108,15 @@ class _Iterate:
         self.kkt_l2 = math.hypot(float(np.linalg.norm(self.grad)), self.constraint)
 
 
-def _evaluate(disc: _Discretized, x: np.ndarray, lam: float | None) -> _Iterate:
+def _evaluate(disc: Discretization, x: np.ndarray, lam: float | None) -> _Iterate:
     p = disc.p
-    y, v = disc.point(x)
-    objective, grad = disc.value_and_grad(p.f, y, v)
+    y = np.concatenate(([p.ya], x, [p.yb]))
+    v = disc.v(y)
+    objective, grad = disc.value(p.f, y, v), disc.gradient(p.f, y, v)[1:-1]
     if lam is None:
         return _Iterate(x, None, y, v, objective, grad)
-    i_value, grad_i = disc.value_and_grad(p.g, y, v)
-    return _Iterate(x, lam, y, v, objective, grad - lam * grad_i, grad_i, i_value - p.xi)
+    grad_i = disc.gradient(p.g, y, v)[1:-1]
+    return _Iterate(x, lam, y, v, objective, grad - lam * grad_i, grad_i, disc.value(p.g, y, v) - p.xi)
 
 
 def _factor(hess: np.ndarray, a: np.ndarray | None) -> tuple[tuple, float, bool]:
@@ -206,7 +165,7 @@ def _newton_step(factor: tuple, sigma: float, cur: _Iterate) -> tuple[np.ndarray
     return dlam * k_a - k_grad, dlam + sigma * cur.constraint
 
 
-def _line_search(disc: _Discretized, cur: _Iterate, dx: np.ndarray, dlam: float | None) -> _Iterate | None:
+def _line_search(disc: Discretization, cur: _Iterate, dx: np.ndarray, dlam: float | None) -> _Iterate | None:
     """Backtrack from the full step; None when no step is accepted, or when a
     full step changes J only by roundoff and does not lower the KKT max-norm:
     the roundoff floor, where further steps only creep."""
@@ -235,7 +194,7 @@ def _line_search(disc: _Discretized, cur: _Iterate, dx: np.ndarray, dlam: float 
 
 
 def _newton(p: Problem, opts: SolverOptions) -> tuple[_Iterate, int]:
-    disc = _Discretized(p)
+    disc = Discretization(p)
     x0 = (p.ya + (p.yb - p.ya) * (disc.t - p.grid.a) / (p.grid.b - p.grid.a))[1:-1]
     lo, hi = opts.lambda_bracket
     cur = _evaluate(disc, x0, min(max(0.0, lo), hi) if p.constrained else None)
@@ -273,15 +232,14 @@ def _solve(p: Problem, opts: SolverOptions) -> Solution:
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         cur, iters = _newton(p, opts)
     y = SampledFunction(p.grid, cur.y)
-    residual = None if cur.lam is None else constraint_value(p, y) - p.xi
     return Solution(
         y=y,
-        objective=functional_value(p, y),
+        objective=cur.objective,
         el_norm=el_residual(p, y, cur.lam).norm_max_interior,
         iterations=iters,
-        converged=cur.gmax <= opts.grad_tol and abs(residual or 0.0) <= opts.constraint_tol,
+        converged=cur.gmax <= opts.grad_tol and abs(cur.constraint) <= opts.constraint_tol,
         lam=cur.lam,
-        constraint_residual=residual,
+        constraint_residual=None if cur.lam is None else cur.constraint,
     )
 
 

@@ -1,30 +1,33 @@
 """Problem model for functionals of the combined derivative y' + k * D^alpha y:
 functional and constraint values, the Euler-Lagrange residual, and the discrete
 gradient (first variation) with respect to interior node values.
+
+All of them, and the solver, go through one `Discretization` of the problem,
+built on one cached left GL matrix L per grid and order: v = D_c y + k L y
+with the boundary split, quadratures of the Lagrangian, and its gradient and
+Hessian through the dense M = D_c + k L.  The right operator is L's transpose.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .fracgrid import (
-    FracOperator,
     FracOrder,
     Grid,
     GridMismatchError,
     SampledFunction,
     Side,
     assemble_frac_operator,
-    classical_derivative,
-    left_derivative_split,
+    derivative_stencil,
+    split_left_derivative,
     variational_weights,
 )
 from .lagrange_dsl import AugmentedLagrangian, Lagrangian
-from .special import gamma
 
 __all__ = [
     "MissingConstraintError",
@@ -32,6 +35,7 @@ __all__ = [
     "Problem",
     "CombinedDerivative",
     "ELResidual",
+    "Discretization",
     "combined_derivative",
     "functional_value",
     "constraint_value",
@@ -92,48 +96,60 @@ class ELResidual:
 
 
 class _DiscreteOps:
-    """Grid-level matrices shared by the variational operations."""
+    """Grid-level data shared by the variational operations: the nodes, the
+    quadrature weights and the left GL operator, whose transpose is the right one."""
 
     def __init__(self, grid: Grid, order: FracOrder):
-        self.grid = grid
-        self.order = order
         self.nodes = grid.nodes()
         self.weights = variational_weights(grid)
         self.left = assemble_frac_operator(grid, order, Side.LEFT)
-        self.right = assemble_frac_operator(grid, order, Side.RIGHT)
-        self.dc = _difference_matrix(grid)
-
-    def combined_matrix(self, k: float) -> np.ndarray:
-        return self.dc + k * self.left.weights
-
-    def split_correction(self, k: float, ya: float) -> np.ndarray:
-        """Constant vector c with v = (Dc + k*L) y + c under the boundary split."""
-        n = self.grid.n
-        if k == 0.0 or ya == 0.0:
-            return np.zeros(n)
-        alpha = self.order.alpha
-        out = np.zeros(n)
-        t = self.nodes
-        analytic = ya * (t[1:] - self.grid.a) ** (-alpha) / gamma(1.0 - alpha)
-        out[1:] = k * (analytic - ya * np.sum(self.left.weights[1:, :], axis=1))
-        return out
-
-
-def _difference_matrix(grid: Grid) -> np.ndarray:
-    n = grid.n
-    h = grid.h
-    d = np.zeros((n, n))
-    i = np.arange(1, n - 1)
-    d[i, i - 1] = -1.0 / (2.0 * h)
-    d[i, i + 1] = 1.0 / (2.0 * h)
-    d[0, 0], d[0, 1], d[0, 2] = -3.0 / (2.0 * h), 4.0 / (2.0 * h), -1.0 / (2.0 * h)
-    d[-1, -1], d[-1, -2], d[-1, -3] = 3.0 / (2.0 * h), -4.0 / (2.0 * h), 1.0 / (2.0 * h)
-    return d
 
 
 @lru_cache(maxsize=64)
 def discrete_operators(grid: Grid, order: FracOrder) -> _DiscreteOps:
     return _DiscreteOps(grid, order)
+
+
+class Discretization:
+    """One problem's discretization as a function of the node values y (boundary
+    nodes included): v = y' + k D^alpha y, and the quadrature of a Lagrangian
+    with its gradient and Hessian in y."""
+
+    def __init__(self, p: Problem):
+        ops = discrete_operators(p.grid, p.order)
+        self.p, self.t, self.w, self.left = p, ops.nodes, ops.weights, ops.left
+
+    def pieces(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """y' by the classical stencil and D^alpha y with the boundary split."""
+        return derivative_stencil(y, self.p.grid.h), split_left_derivative(self.left, y)
+
+    def v(self, y: np.ndarray) -> np.ndarray:
+        yprime, frac = self.pieces(y)
+        return yprime + self.p.k * frac
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        """Dense M = D_c + k L: v depends on y through M (the split adds a constant)."""
+        m = derivative_stencil(np.eye(self.p.grid.n), self.p.grid.h)
+        m += self.p.k * self.left.weights
+        return m
+
+    def value(self, lagr, y: np.ndarray, v: np.ndarray) -> float:
+        return float(np.dot(self.w, lagr.value(self.t, y, v)))
+
+    def gradient(self, lagr, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Gradient in all n node values: w H_y + M^T (w H_v)."""
+        return self.w * lagr.dy(self.t, y, v) + self.m.T @ (self.w * lagr.dv(self.t, y, v))
+
+    def hessian(self, lagr, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Hessian in the interior node values."""
+        # summed in place: each n x n temporary is a large share of peak memory
+        hess = self.m.T @ ((self.w * lagr.dvv(self.t, y, v))[:, None] * self.m)
+        cross = (self.w * lagr.dyv(self.t, y, v))[:, None] * self.m
+        hess += cross
+        hess += cross.T
+        hess[np.diag_indices_from(hess)] += self.w * lagr.dyy(self.t, y, v)
+        return hess[1:-1, 1:-1]
 
 
 def _check_grid(p: Problem, y: SampledFunction) -> None:
@@ -144,11 +160,12 @@ def _check_grid(p: Problem, y: SampledFunction) -> None:
 def combined_derivative(p: Problem, y: SampledFunction) -> CombinedDerivative:
     """Evaluate v = y' + k * left fractional derivative (with boundary split)."""
     _check_grid(p, y)
-    ops = discrete_operators(p.grid, p.order)
-    yprime = classical_derivative(y)
-    frac = left_derivative_split(ops.left, y)
-    v = SampledFunction(p.grid, yprime.values + p.k * frac.values)
-    return CombinedDerivative(v=v, yprime=yprime, frac=frac)
+    yprime, frac = Discretization(p).pieces(y.values)
+    return CombinedDerivative(
+        v=SampledFunction(p.grid, yprime + p.k * frac),
+        yprime=SampledFunction(p.grid, yprime),
+        frac=SampledFunction(p.grid, frac),
+    )
 
 
 def _lagrangian_for(p: Problem, lam: float | None):
@@ -162,10 +179,8 @@ def _lagrangian_for(p: Problem, lam: float | None):
 def functional_value(p: Problem, y: SampledFunction) -> float:
     """Discretized J(y): quadrature of F(t, y, v) over the grid."""
     _check_grid(p, y)
-    ops = discrete_operators(p.grid, p.order)
-    v = combined_derivative(p, y).v
-    vals = p.f.value(ops.nodes, y.values, v.values)
-    return float(np.dot(ops.weights, vals))
+    disc = Discretization(p)
+    return disc.value(p.f, y.values, disc.v(y.values))
 
 
 def constraint_value(p: Problem, y: SampledFunction) -> float:
@@ -173,10 +188,8 @@ def constraint_value(p: Problem, y: SampledFunction) -> float:
     if p.g is None:
         raise MissingConstraintError("problem has no isoperimetric constraint")
     _check_grid(p, y)
-    ops = discrete_operators(p.grid, p.order)
-    v = combined_derivative(p, y).v
-    vals = p.g.value(ops.nodes, y.values, v.values)
-    return float(np.dot(ops.weights, vals))
+    disc = Discretization(p)
+    return disc.value(p.g, y.values, disc.v(y.values))
 
 
 def el_residual(p: Problem, y: SampledFunction, lam: float | None = None) -> ELResidual:
@@ -184,18 +197,19 @@ def el_residual(p: Problem, y: SampledFunction, lam: float | None = None) -> ELR
 
     r_i = dH/dy - Dc[dH/dv] + k * (right fractional derivative of dH/dv)
 
-    with the classical stencil Dc and the right GL operator applied to the
-    sampled dH/dv sequence.  Norms are over interior nodes only.
+    with the classical stencil Dc and the right GL operator (the transpose of
+    the left one) applied to the sampled dH/dv sequence.  Norms are over
+    interior nodes only.
     """
     _check_grid(p, y)
     if p.g is not None and lam is None:
         raise MissingConstraintError("constrained problem requires a multiplier")
     h_lagr = _lagrangian_for(p, lam)
-    ops = discrete_operators(p.grid, p.order)
-    v = combined_derivative(p, y).v
-    d2 = h_lagr.dy(ops.nodes, y.values, v.values)
-    d3 = h_lagr.dv(ops.nodes, y.values, v.values)
-    r = d2 - ops.dc @ d3 + p.k * (ops.right.weights @ d3)
+    disc = Discretization(p)
+    v = disc.v(y.values)
+    d2 = h_lagr.dy(disc.t, y.values, v)
+    d3 = h_lagr.dv(disc.t, y.values, v)
+    r = d2 - derivative_stencil(d3, p.grid.h) + p.k * (disc.left.weights.T @ d3)
     interior = r[1:-1]
     norm_max = float(np.max(np.abs(interior)))
     norm_l2 = float(math.sqrt(p.grid.h * float(np.dot(interior, interior))))
@@ -221,11 +235,5 @@ def discrete_gradient(p: Problem, y: SampledFunction, lam: float | None = None) 
             f"the boundary conditions ({p.ya!r}, {p.yb!r})"
         )
     h_lagr = _lagrangian_for(p, lam)
-    ops = discrete_operators(p.grid, p.order)
-    v = combined_derivative(p, y).v
-    w = ops.weights
-    d2 = h_lagr.dy(ops.nodes, y.values, v.values)
-    d3 = h_lagr.dv(ops.nodes, y.values, v.values)
-    m = ops.combined_matrix(p.k)
-    grad = w * d2 + m.T @ (w * d3)
-    return grad[1:-1]
+    disc = Discretization(p)
+    return disc.gradient(h_lagr, y.values, disc.v(y.values))[1:-1]

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+import fracvar.variational
 from fracvar.cli import EXIT_DOMAIN, EXIT_NOCONV, EXIT_OK, EXIT_SCHEMA, main
 
 
@@ -199,6 +200,20 @@ class TestDomainErrors:
         assert code == EXIT_DOMAIN
         assert "log" in err
 
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        # stands in for an n whose dense operators do not fit in memory
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(fracvar.variational, "assemble_frac_operator", no_memory)
+        fracvar.variational.discrete_operators.cache_clear()
+        path = write_problem(tmp_path)
+        code, _, err = run(capsys, "solve", path)
+        assert code == EXIT_DOMAIN
+        assert err.startswith("error: out of memory")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "problem.out.csv").exists()
+
 
 class TestResidual:
     def test_round_trip(self, tmp_path, capsys):
@@ -288,6 +303,15 @@ class TestConvergence:
 
     def test_self_convergence(self, tmp_path, capsys):
         path = write_problem(tmp_path, F="v^2 + y^2", k=0.5, alpha=0.3)
+        code, out, _ = run(capsys, "convergence", path, "--grids", 51, 101, 201)
+        assert code == EXIT_OK
+        report = json.loads(out.strip())
+        assert report["entries"][-1]["error"] == 0.0
+
+    def test_unconstrained_v2_self_convergence(self, tmp_path, capsys):
+        # without G the affine interpolant is the extremal of F = v^2 only at
+        # k = 0, so the finest grid is the reference
+        path = write_problem(tmp_path, F="v^2", k=1.0, alpha=0.5)
         code, out, _ = run(capsys, "convergence", path, "--grids", 51, 101, 201)
         assert code == EXIT_OK
         report = json.loads(out.strip())

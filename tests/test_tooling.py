@@ -1,0 +1,51 @@
+"""The benchmark's tracer wraps fracvar callables by name; a renamed callable
+must fail here, not only in a benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+import fracvar.solver as solver
+import fracvar.variational as variational
+from fracvar.fracgrid import FracOrder, Grid
+from fracvar.lagrange_dsl import Lagrangian
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_resolves_every_name():
+    tracing = load_tracing()
+
+    def current():
+        return [getattr(importlib.import_module(home), attr) for home, attr, _ in tracing.FUNCTIONS]
+
+    originals = current()
+    tracer = tracing.Tracer()
+    variational.discrete_operators.cache_clear()
+    tracer.install()
+    try:
+        for (home, attr, _), original, wrapped in zip(tracing.FUNCTIONS, originals, current()):
+            assert wrapped is not original and wrapped.__wrapped__ is original, f"{home}.{attr} was not wrapped"
+        # the operator cache, its assembly and the solver's H are looked up
+        # through the names the tracer wraps
+        p = variational.Problem(
+            Lagrangian.parse("v^2"), 1.0, FracOrder(0.5), Grid(0.0, 1.0, 21), 0.0, 1.0, Lagrangian.parse("v"), 1.0
+        )
+        solver.solve_isoperimetric(p)
+    finally:
+        tracer.uninstall()
+    names = {span[3] for span in tracer.spans}
+    assert {
+        "solver.solve_isoperimetric",
+        "solver.AugmentedLagrangian",
+        "variational.el_residual",
+        "variational.discrete_operators",
+        "fracgrid.assemble_frac_operator",
+    } <= names
+    assert all(a is b for a, b in zip(current(), originals))

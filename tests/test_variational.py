@@ -3,16 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from fracvar.fracgrid import FracOrder, Grid, GridMismatchError, SampledFunction
-from fracvar.lagrange_dsl import Lagrangian
+from fracvar.fracgrid import (
+    FracOperator,
+    FracOrder,
+    Grid,
+    GridMismatchError,
+    SampledFunction,
+    Side,
+    assemble_frac_operator,
+)
+from fracvar.lagrange_dsl import AugmentedLagrangian, Lagrangian
 from fracvar.reference import ReferenceSpec, ml_convolution_extremal
 from fracvar.variational import (
     BoundaryMismatchError,
+    Discretization,
     MissingConstraintError,
     Problem,
     combined_derivative,
     constraint_value,
     discrete_gradient,
+    discrete_operators,
     el_residual,
     functional_value,
 )
@@ -50,6 +60,55 @@ class TestProblem:
     def test_finite_boundaries(self):
         with pytest.raises(ValueError):
             make_problem(yb=math.inf)
+
+
+def dense_difference_matrix(grid):
+    """The classical stencil D_c as a dense matrix, written out row by row."""
+    n, h = grid.n, grid.h
+    d = np.zeros((n, n))
+    i = np.arange(1, n - 1)
+    d[i, i - 1] = -1.0 / (2.0 * h)
+    d[i, i + 1] = 1.0 / (2.0 * h)
+    d[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
+    d[-1, -3:] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
+    return d
+
+
+class TestDiscreteOperators:
+    def test_one_matrix_per_entry(self):
+        # the right operator and D_c are not stored: only L is n x n
+        n = 301
+        ops = discrete_operators(Grid(0.0, 1.0, n), FracOrder(0.45))
+        owners = {}
+        for value in vars(ops).values():
+            if isinstance(value, FracOperator):
+                value = value.weights
+            if isinstance(value, np.ndarray):
+                owner = value if value.base is None else value.base
+                owners[id(owner)] = owner
+        assert sum(a.nbytes for a in owners.values()) <= 8 * n * n + 64 * n
+
+    def test_stencil_columns(self):
+        # M = D_c + k L, with D_c from the stencil of the identity
+        p = make_problem(k=0.8, alpha=0.35, n=41)
+        left = assemble_frac_operator(p.grid, p.order, Side.LEFT).weights
+        np.testing.assert_array_equal(
+            Discretization(p).m, dense_difference_matrix(p.grid) + 0.8 * left
+        )
+
+    def test_hessian_matches_gradient_differences(self):
+        p = make_problem(f=Lagrangian.parse("v^4 + sin(t) * y^2 + y*v"), k=0.7, alpha=0.3, n=41)
+        disc = Discretization(p)
+        t = p.grid.nodes()
+        y = t + 0.3 * np.sin(math.pi * t)
+        hess = disc.hessian(p.f, y, disc.v(y))
+        eps = 1e-6
+        for j in (0, 7, 20, 38):
+            e = np.zeros(p.grid.n)
+            e[j + 1] = eps
+            plus, minus = y + e, y - e
+            fd = (disc.gradient(p.f, plus, disc.v(plus)) - disc.gradient(p.f, minus, disc.v(minus)))[1:-1]
+            np.testing.assert_allclose(hess[:, j], fd / (2.0 * eps), rtol=1e-6, atol=1e-6 * np.max(np.abs(hess)))
 
 
 class TestCombinedDerivative:
@@ -143,6 +202,23 @@ class TestELResidual:
         r = el_residual(p, on_grid(p, lambda t: t))
         assert r.norm_max_interior <= 1e-12
         assert r.norm_l2_interior <= 1e-12
+
+    @pytest.mark.parametrize("ya", [0.0, 0.4])
+    def test_matches_dense_oracle(self, ya):
+        # r = dH/dy - D_c[dH/dv] + k R dH/dv with a dense D_c and the assembled
+        # right operator R
+        p = make_problem(
+            f=Lagrangian.parse("v^2 + sin(t) * y^2"), k=0.7, alpha=0.3, n=201, ya=ya, g=V, xi=1.0
+        )
+        t = p.grid.nodes()
+        y = on_grid(p, lambda t: ya + (1.0 - ya) * t + 0.2 * np.sin(math.pi * t))
+        v = combined_derivative(p, y).v.values
+        h = AugmentedLagrangian(p.f, p.g, 1.5)
+        right = assemble_frac_operator(p.grid, p.order, Side.RIGHT).weights
+        d3 = h.dv(t, y.values, v)
+        want = h.dy(t, y.values, v) - dense_difference_matrix(p.grid) @ d3 + p.k * (right @ d3)
+        got = el_residual(p, y, lam=1.5).values.values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_constrained_requires_multiplier(self):
         p = make_problem(g=V, xi=1.0)
