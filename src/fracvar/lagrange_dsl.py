@@ -106,6 +106,11 @@ def _const(value: float) -> Const:
     return Const(float(value))
 
 
+def _fold(value: float, unfolded: Expr) -> Expr:
+    # an overflowing fold stays unfolded: inf has no spelling that parses back
+    return _const(value) if math.isfinite(value) else unfolded
+
+
 def _is_const(e: Expr, value: float | None = None) -> bool:
     return isinstance(e, Const) and (value is None or e.value == value)
 
@@ -120,7 +125,7 @@ def neg(e: Expr) -> Expr:
 
 def add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return _const(a.value + b.value)
+        return _fold(a.value + b.value, Binary("+", a, b))
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
@@ -130,7 +135,7 @@ def add(a: Expr, b: Expr) -> Expr:
 
 def sub(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return _const(a.value - b.value)
+        return _fold(a.value - b.value, Binary("-", a, b))
     if _is_const(b, 0.0):
         return a
     if _is_const(a, 0.0):
@@ -140,7 +145,7 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 def mul(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return _const(a.value * b.value)
+        return _fold(a.value * b.value, Binary("*", a, b))
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return _const(0.0)
     if _is_const(a, 1.0):
@@ -152,7 +157,7 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 def div(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        return _const(a.value / b.value)
+        return _fold(a.value / b.value, Binary("/", a, b))
     if _is_const(b, 1.0):
         return a
     if _is_const(a, 0.0) and not _is_const(b, 0.0):
@@ -170,8 +175,8 @@ def pow_(a: Expr, b: Expr) -> Expr:
             folded = a.value**b.value
         except (ValueError, OverflowError, ZeroDivisionError):
             return Binary("^", a, b)
-        if isinstance(folded, float) and math.isfinite(folded):
-            return _const(folded)
+        if isinstance(folded, float):
+            return _fold(folded, Binary("^", a, b))
     return Binary("^", a, b)
 
 

@@ -207,6 +207,18 @@ class TestRoundTripProperty:
     def test_parse_print_parse(self, e):
         assert parse(to_str(e)) == e
 
+    @pytest.mark.parametrize("build, a, b", [
+        (dsl.add, 1e308, 1e308),
+        (dsl.sub, 1e308, -1e308),
+        (dsl.mul, 1e308, 1e308),
+        (dsl.div, 100.0, 5e-324),
+        (dsl.pow_, 1e308, 2.0),
+    ])
+    def test_overflowing_fold_stays_printable(self, build, a, b):
+        e = build(Const(a), Const(b))
+        assert isinstance(e, Binary)
+        assert parse(to_str(e)) == e
+
 
 class TestDifferentiate:
     def test_power_rule(self):
