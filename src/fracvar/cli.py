@@ -29,12 +29,13 @@ from .reference import ReferenceSpec, boundary_value, ml_convolution_extremal
 from .solver import (
     BracketFailureError,
     NoMinimizerError,
+    Solution,
     SolverOptions,
     solve_isoperimetric,
     solve_unconstrained,
 )
 from .special import GammaOverflowError, GammaPoleError, MittagLefflerError
-from .variational import Problem, combined_derivative, el_residual
+from .variational import Problem, el_residual
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -59,6 +60,14 @@ def _require(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number: not a bool (an int subclass), NaN or Infinity."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer beyond double precision
+        return False
+
+
 def _load_problem_file(path: str, n_override: int | None = None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -73,7 +82,7 @@ def _load_problem_file(path: str, n_override: int | None = None) -> dict:
 
     for key in ("a", "b", "alpha", "k"):
         _require(key in doc, f'missing key "{key}"')
-        _require(isinstance(doc[key], (int, float)), f'key "{key}" must be a number')
+        _require(_is_number(doc[key]), f'key "{key}" must be a finite number')
     _require(doc["a"] < doc["b"], '"a" must be less than "b"')
     _require(0.0 < doc["alpha"] < 1.0, '"alpha" must lie in the open interval (0, 1)')
 
@@ -81,21 +90,21 @@ def _load_problem_file(path: str, n_override: int | None = None) -> dict:
     _require(("G" in doc) == ("xi" in doc), '"G" and "xi" must co-occur')
     if "G" in doc:
         _require(isinstance(doc["G"], str), '"G" must be an expression string')
-        _require(isinstance(doc["xi"], (int, float)), '"xi" must be a number')
+        _require(_is_number(doc["xi"]), '"xi" must be a finite number')
 
     _require("n" in doc and isinstance(doc["n"], int) and doc["n"] >= 3, '"n" must be an integer >= 3')
     if n_override is not None:
         doc = dict(doc, n=n_override)
         _require(doc["n"] >= 3, "--n must be >= 3")
 
-    _require("ya" in doc and isinstance(doc["ya"], (int, float)), '"ya" must be a number')
+    _require("ya" in doc and _is_number(doc["ya"]), '"ya" must be a finite number')
     _require("yb" in doc, 'missing key "yb"')
     if isinstance(doc["yb"], str):
-        _require(doc["yb"] == "auto-reference", '"yb" must be a number or "auto-reference"')
+        _require(doc["yb"] == "auto-reference", '"yb" must be a finite number or "auto-reference"')
         _require(doc["a"] == 0.0, '"yb": "auto-reference" requires a = 0')
         _require("xi" in doc, '"yb": "auto-reference" requires "xi"')
     else:
-        _require(isinstance(doc["yb"], (int, float)), '"yb" must be a number or "auto-reference"')
+        _require(_is_number(doc["yb"]), '"yb" must be a finite number or "auto-reference"')
 
     if "solver" in doc:
         _require(isinstance(doc["solver"], dict), '"solver" must be an object')
@@ -143,15 +152,13 @@ def _solver_options(doc: dict) -> SolverOptions:
     return SolverOptions(**opts)
 
 
-def _write_solution_csv(path: Path, p: Problem, y: SampledFunction, lam: float | None) -> None:
-    v = combined_derivative(p, y).v
-    r = el_residual(p, y, lam).values
+def _write_solution_csv(path: Path, p: Problem, sol: Solution) -> None:
     t = p.grid.nodes()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "y", "v", "el_residual"])
-        for i in range(p.grid.n):
-            writer.writerow([_fmt(t[i]), _fmt(y.values[i]), _fmt(v.values[i]), _fmt(r.values[i])])
+        for row in zip(t, sol.y.values, sol.v.values, sol.residual.values):
+            writer.writerow(map(_fmt, row))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -168,7 +175,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "converged": sol.converged,
     }
     out = Path(args.out) if args.out else Path(args.file).with_suffix(".out.csv")
-    _write_solution_csv(out, p, sol.y, sol.lam)
+    _write_solution_csv(out, p, sol)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK if sol.converged else EXIT_NOCONV
 

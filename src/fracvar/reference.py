@@ -2,17 +2,14 @@
 
 The extremal is the convolution
 
-    y(t) = xi * integral_0^t E_{1-alpha,1}(-k * s^(1-alpha)) ds,
+    y(t) = xi * integral_0^t E_{1-alpha,1}(-k * s^(1-alpha)) ds.
 
-evaluated by adaptive quadrature (cumulatively, interval by interval).  The
-quadrature is the ground truth against which closed-form candidates and the
-fractional-relation v = xi check are measured.
-
-Integrating the kernel series term by term gives the closed form
+Integrating the kernel series term by term gives its closed form
 
     y(t) = xi * t * E_{1-alpha,2}(-k * t^(1-alpha)),
 
-which the quadrature matches at the nodes to rounding level.  For k = 1 its
+so each node costs one Mittag-Leffler evaluation, and y(0) = 0.  The tests
+check it against adaptive quadrature of the convolution.  For k = 1 its
 alpha -> 0 limit is 1 - e^{-t}, approached at first order in alpha.
 """
 
@@ -20,10 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.integrate
 
 from .fracgrid import FracOrder, Grid, SampledFunction
 from .special import MLParams, erfc, mittag_leffler
@@ -48,77 +43,31 @@ class ReferenceSpec:
     def __post_init__(self) -> None:
         if self.grid.a != 0.0:
             raise ValueError("reference extremals are anchored at a = 0")
+        if not all(map(math.isfinite, (self.k, self.xi, self.grid.b))):
+            raise ValueError("reference extremals need finite k, xi and b")
 
 
-def _kernel(k: float, alpha: float):
-    """Integrand s -> E_{1-alpha,1}(-k * s^(1-alpha)); bounded at s = 0."""
-    params = MLParams(1.0 - alpha, 1.0)
-
-    def f(s: float) -> float:
-        if s <= 0.0:
-            return 1.0
-        return mittag_leffler(params, -k * s ** (1.0 - alpha))
-
-    return f
-
-
-def _segment_integral(k: float, alpha: float, lo: float, hi: float) -> float:
-    """Integral of the kernel over [lo, hi] by adaptive Gauss-Kronrod.
-
-    For alpha > 1/2 the substitution u = s^(1-alpha) removes the weak
-    endpoint behavior near s = 0.
-    """
-    if hi <= lo:
-        return 0.0
-    kern = _kernel(k, alpha)
-    if alpha > 0.5:
-        p = 1.0 - alpha
-        params = MLParams(p, 1.0)
-
-        def g(u: float) -> float:
-            if u <= 0.0:
-                return 0.0
-            return mittag_leffler(params, -k * u) * u ** (alpha / p) / p
-
-        val, _ = scipy.integrate.quad(
-            g, lo**p, hi**p, epsabs=1e-12, epsrel=1e-12, limit=200
-        )
-        return val
-    val, _ = scipy.integrate.quad(kern, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
-
-
-@lru_cache(maxsize=32)
-def _cumulative(k: float, alpha: float, grid: Grid) -> tuple[float, ...]:
-    t = grid.nodes()
-    parts = np.empty(grid.n)
-    parts[0] = 0.0
-    for i in range(1, grid.n):
-        parts[i] = _segment_integral(k, alpha, t[i - 1], t[i])
-    return tuple(np.cumsum(parts))
+def _extremal_at(spec: ReferenceSpec, t: float) -> float:
+    alpha = spec.order.alpha
+    return spec.xi * t * mittag_leffler(MLParams(1.0 - alpha, 2.0), -spec.k * t ** (1.0 - alpha))
 
 
 def ml_convolution_extremal(spec: ReferenceSpec) -> SampledFunction:
-    """Sampled reference extremal; node values accurate to ~1e-8."""
-    base = np.asarray(_cumulative(spec.k, spec.order.alpha, spec.grid))
-    return SampledFunction(spec.grid, spec.xi * base)
+    """Sampled reference extremal from its closed form."""
+    values = [_extremal_at(spec, float(t)) for t in spec.grid.nodes()]
+    return SampledFunction(spec.grid, np.array(values))
 
 
 def boundary_value(spec: ReferenceSpec) -> float:
     """y(b) of the reference extremal, supplied to solves as the right BC."""
-    return spec.xi * _boundary_integral(spec.k, spec.order.alpha, spec.grid.b)
-
-
-@lru_cache(maxsize=256)
-def _boundary_integral(k: float, alpha: float, b: float) -> float:
-    return _segment_integral(k, alpha, 0.0, b)
+    return _extremal_at(spec, spec.grid.b)
 
 
 def closed_form_alpha_half(t: float, xi: float) -> float:
     """Closed form of the k = 1, alpha = 1/2 extremal.
 
-    Of the two sign variants of the closed form, the quadrature of the
-    convolution confirms
+    Of the two sign variants of the closed form, the convolution extremal
+    confirms
 
         y(t) = xi * (e^t * erfc(sqrt(t)) - 1 + 2*sqrt(t)/sqrt(pi));
 

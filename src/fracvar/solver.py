@@ -80,7 +80,11 @@ class SolverOptions:
 
 @dataclass
 class Solution:
+    """The final iterate: y, its v, and its Euler-Lagrange residual r."""
+
     y: SampledFunction
+    v: SampledFunction
+    residual: SampledFunction
     objective: float
     el_norm: float
     iterations: int
@@ -232,10 +236,13 @@ def _solve(p: Problem, opts: SolverOptions) -> Solution:
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         cur, iters = _newton(p, opts)
     y = SampledFunction(p.grid, cur.y)
+    res = el_residual(p, y, cur.lam)
     return Solution(
         y=y,
+        v=SampledFunction(p.grid, cur.v),
+        residual=res.values,
         objective=cur.objective,
-        el_norm=el_residual(p, y, cur.lam).norm_max_interior,
+        el_norm=res.norm_max_interior,
         iterations=iters,
         converged=cur.gmax <= opts.grad_tol and abs(cur.constraint) <= opts.constraint_tol,
         lam=cur.lam,

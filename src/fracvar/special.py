@@ -3,9 +3,10 @@ two-parameter Mittag-Leffler function.
 
 The Mittag-Leffler evaluator handles four regimes:
 
-* plain compensated summation when the terms are well behaved,
-* extended-precision summation (mpmath) when the alternating series suffers
-  catastrophic cancellation (large negative arguments),
+* plain compensated summation, for z < 0 only where its roundoff bound
+  meets the tolerance,
+* extended-precision summation (mpmath) where the alternating series
+  cancels beyond that bound (negative arguments),
 * Cohen-Villegas-Zagier acceleration when the terms decay too slowly for
   direct summation (first parameter close to zero),
 * the integral representation of Gorenflo, Loutchko and Luchko for z < 0
@@ -84,32 +85,40 @@ def _log_abs_term(p: MLParams, log_abs_z: float, j: int) -> float:
 
 def _sum_direct(
     p: MLParams, z: float, rel_tol: float, max_terms: int
-) -> tuple[float | None, float]:
+) -> tuple[float | None, float, float]:
     """Compensated direct summation.
 
-    Returns (value, max_abs_term); value is None when the series did not
-    converge within max_terms or a term overflowed double precision.
+    Returns (value, max_abs_term, roundoff); value is None when the series did
+    not converge within max_terms or a term overflowed double precision.
+    roundoff bounds the rounding error of value: each term
+    exp(j log|z| - lgamma(x)), x = alpha*j + beta, is off by a few eps times
+    the size of what enters its exponent (rounding x moves lgamma by about
+    x |psi(x)| eps), and the compensated sum by a few eps of its value.
     """
     log_abs_z = math.log(abs(z))
     total = 0.0
     comp = 0.0
     max_term = 0.0
+    spread = 0.0
     small_streak = 0
     prev_lg = -math.inf
     for j in range(max_terms):
-        lg = _log_abs_term(p, log_abs_z, j)
+        x = p.alpha * j + p.beta
+        lgam = math.lgamma(x)
+        lg = j * log_abs_z - lgam
         if lg > 700.0:
-            return None, math.inf
+            return None, math.inf, math.inf
         if j >= 256 and j % 128 == 0:
             # hopeless-budget estimate: extrapolate the per-term decay rate
             decay = lg - prev_lg  # log-decay over the last 128 terms
             remaining = max_terms - j
             target = math.log(rel_tol) + math.log(max(abs(total), 1e-300))
             if decay >= 0.0 or lg + decay * (remaining / 128.0) > target:
-                return None, max_term
+                return None, max_term, math.inf
         if j % 128 == 0:
             prev_lg = lg
         term = math.exp(lg)
+        spread += term * (2.0 + abs(j * log_abs_z) + abs(lgam) + x * abs(math.log(x)))
         if z < 0.0 and j % 2 == 1:
             term = -term
         y = term - comp
@@ -120,21 +129,25 @@ def _sum_direct(
         if j > 0 and abs(term) <= rel_tol * abs(total):
             small_streak += 1
             if small_streak >= 2:
-                return total, max_term
+                return total, max_term, 4.0 * _EPS * (spread + abs(total))
         else:
             small_streak = 0
-    return None, max_term
+    return None, max_term, math.inf
 
 
 def _sum_mpmath(p: MLParams, z: float, rel_tol: float, max_terms: int) -> float:
     """Extended-precision summation sized to the peak term magnitude."""
-    peak = 0.0
+    # The log-terms are concave in j, so the terms are unimodal: the peak is
+    # the last term before they fall, and every partial sum is bounded by
+    # twice it.  A last term above that bound times rel_tol means no partial
+    # sum can pass the stopping test.
     log_abs_z = math.log(abs(z))
-    for j in range(max_terms):
-        peak = max(peak, _log_abs_term(p, log_abs_z, j))
-    # The log-terms are concave in j, so the terms are unimodal and every
-    # partial sum is bounded by twice the peak term: a last term above that
-    # bound times rel_tol means no partial sum can pass the stopping test.
+    peak = _log_abs_term(p, log_abs_z, 0)
+    for j in range(1, max_terms):
+        lg = _log_abs_term(p, log_abs_z, j)
+        if lg < peak:
+            break
+        peak = lg
     if _log_abs_term(p, log_abs_z, max_terms - 1) > math.log(4.0 * rel_tol) + peak:
         raise MittagLefflerError(
             f"Mittag-Leffler series for alpha={p.alpha:g}, beta={p.beta:g}, z={z:g} "
@@ -146,11 +159,13 @@ def _sum_mpmath(p: MLParams, z: float, rel_tol: float, max_terms: int) -> float:
         # the order enters in extended precision: alpha*j rounded to double
         # would perturb each term by ~1e-16 of the peak, not of the sum
         a = mpmath.mpf(p.alpha)
+        power = mpmath.mpf(1)
         total = mpmath.mpf(0)
         tol = mpmath.mpf(rel_tol)
         small_streak = 0
         for j in range(max_terms):
-            term = zz**j / mpmath.gamma(a * j + p.beta)
+            term = power * mpmath.rgamma(a * j + p.beta)
+            power *= zz
             total += term
             if j > 0 and abs(term) <= tol * abs(total):
                 small_streak += 1
@@ -274,7 +289,7 @@ def mittag_leffler(
     if z == 0.0:
         return 1.0 / gamma(p.beta)
 
-    value, max_term = _sum_direct(p, z, rel_tol, max_terms)
+    value, max_term, roundoff = _sum_direct(p, z, rel_tol, max_terms)
 
     if z > 0.0:
         if value is None:
@@ -284,7 +299,7 @@ def mittag_leffler(
             )
         return value
     try:
-        return _sum_negative(p, z, value, max_term, rel_tol, max_terms)
+        return _sum_negative(p, z, value, max_term, roundoff, rel_tol, max_terms)
     except MittagLefflerError:
         if p.alpha >= 1.0:
             raise
@@ -296,20 +311,16 @@ def _sum_negative(
     z: float,
     value: float | None,
     max_term: float,
+    roundoff: float,
     rel_tol: float,
     max_terms: int,
 ) -> float:
-    # z < 0: the series alternates; accept the direct sum only when the
-    # cancellation stays benign (roundoff ~ max_term * eps).
-    if value is not None and max_term <= 1e3 * max(abs(value), 1e-300):
+    # z < 0: the series alternates; the direct sum stands only when its
+    # roundoff bound meets the tolerance.
+    if value is not None and roundoff <= rel_tol * abs(value):
         return value
-
-    if math.isinf(max_term) or max_term > 1e15:
-        # Heavy cancellation through a large peak term: extended precision.
-        return _sum_mpmath(p, z, rel_tol, max_terms)
-    if value is not None:
-        # Converged but cancellous at a moderate peak: extended precision
-        # is still the accurate route.
+    if value is not None or math.isinf(max_term) or max_term > 1e15:
+        # Cancellation, or a peak term beyond double precision: extended precision.
         return _sum_mpmath(p, z, rel_tol, max_terms)
     # Bounded terms that decay too slowly (alpha close to zero).
     return _sum_alternating_accelerated(p, z, rel_tol)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import warnings
 
 import pytest
@@ -192,6 +193,40 @@ class TestSchemaErrors:
         assert "seed" in err
 
 
+class TestNonFiniteInputs:
+    def test_nan_xi(self, tmp_path, capsys):
+        path = write_problem(tmp_path, G="v", xi=float("nan"))
+        code, out, err = run(capsys, "solve", path)
+        assert code == EXIT_SCHEMA
+        assert out == ""
+        assert '"xi"' in err
+
+    @pytest.mark.parametrize("key, value", [("k", math.inf), ("b", math.inf), ("a", -math.inf)])
+    def test_infinite_number(self, tmp_path, capsys, key, value):
+        path = write_problem(tmp_path, **{key: value})
+        code, _, err = run(capsys, "solve", path)
+        assert code == EXIT_SCHEMA
+        assert f'"{key}"' in err
+
+    def test_boolean_number(self, tmp_path, capsys):
+        path = write_problem(tmp_path, k=True)
+        code, _, err = run(capsys, "solve", path)
+        assert code == EXIT_SCHEMA
+        assert '"k"' in err
+
+    def test_reference_infinite_k(self, capsys):
+        code, _, err = run(capsys, "reference", "--k", "inf", "--alpha", 0.5, "--xi", 1.0, "--n", 9)
+        assert code == EXIT_SCHEMA
+        assert err.startswith("error:")
+
+    def test_reference_infinite_xi(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "reference", "--k", 1.0, "--alpha", 0.5, "--xi", "inf", "--n", 9)
+        assert code == EXIT_SCHEMA
+        assert err.startswith("error:")
+
+
 class TestDomainErrors:
     def test_log_domain_violation(self, tmp_path, capsys):
         # log(y) with ya = 0 is evaluated at a nonpositive argument
@@ -281,6 +316,14 @@ class TestReference:
             capsys, "reference", "--k", 1.0, "--alpha", 2.0, "--xi", 1.0, "--n", 11
         )
         assert code == EXIT_SCHEMA
+
+    def test_series_failure(self, capsys):
+        # k < 0 makes the Mittag-Leffler argument positive; at alpha = 0.999
+        # its series does not converge within the term budget
+        code, out, err = run(capsys, "reference", "--alpha", 0.999, "--k", -1, "--xi", 1, "--n", 9)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestConvergence:

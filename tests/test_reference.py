@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from fracvar.fracgrid import FracOrder, Grid
 from fracvar.lagrange_dsl import Lagrangian
@@ -92,18 +93,25 @@ class TestLimitFamilies:
 
 
 class TestSeriesClosedForm:
-    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9, 0.999])
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     def test_matches_two_parameter_mittag_leffler(self, alpha, k):
-        # integrating the kernel series term by term gives
-        # y(t) = xi * t * E_{1-alpha,2}(-k * t^(1-alpha))
-        s = spec(alpha=alpha, k=k, xi=1.3, n=101)
+        # the closed form y(t) = xi * t * E_{1-alpha,2}(-k * t^(1-alpha))
+        # against adaptive quadrature of the convolution it sums,
+        # xi * integral_0^t E_{1-alpha,1}(-k * s^(1-alpha)) ds; with
+        # u = s^(1-alpha) this is xi/(1-alpha) * integral_0^(t^(1-alpha))
+        # u^(alpha/(1-alpha)) E_{1-alpha,1}(-k*u) du, whose algebraic weight
+        # the quadrature takes exactly; 1e-12 of the kernel is ample here
+        p = 1.0 - alpha
+        params = MLParams(p, 1.0)
+        s = spec(alpha=alpha, k=k, xi=1.3, n=5)
         y = ml_convolution_extremal(s)
-        params = MLParams(1.0 - alpha, 2.0)
-        exact = np.array(
-            [1.3 * t * mittag_leffler(params, -k * t ** (1.0 - alpha)) for t in s.grid.nodes()]
-        )
-        assert np.max(np.abs(y.values - exact)) <= 1e-10
+        for t, value in zip(s.grid.nodes(), y.values):
+            integral, _ = scipy.integrate.quad(
+                lambda u: mittag_leffler(params, -k * u, rel_tol=1e-12), 0.0, t**p,
+                weight="alg", wvar=(alpha / p, 0.0), epsabs=0.0, epsrel=1e-13, limit=200,
+            )
+            assert value == pytest.approx(1.3 * integral / p, rel=1e-10, abs=0.0)
 
 
 class TestNonExtremalityOfConstraint:
@@ -138,7 +146,7 @@ class TestClosedFormSignResolution:
 
     def test_losing_variant(self):
         # the same formula with the sqrt term negated drifts far from the
-        # quadrature, which settles the sign ambiguity
+        # extremal, which settles the sign ambiguity
         s = spec(alpha=0.5, xi=1.0, n=101)
         y = ml_convolution_extremal(s)
         t = s.grid.nodes()

@@ -136,6 +136,21 @@ class TestMittagLeffler:
         value = mittag_leffler(MLParams(alpha, beta), z)
         assert value == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "alpha, beta, z, expected",
+        [
+            # oracle: the series summed in 60-digit arithmetic
+            (0.42972, 1.0, -2.02385, 0.2657873855142672),
+            (0.21457, 2.5, -1.56706, 0.3201590344782786),
+            (0.5, 2.0, -3.0, 0.28490429471865863),
+        ],
+    )
+    def test_moderate_cancellation(self, alpha, beta, z, expected):
+        # the terms peak 60 to 420 times above the sum, which costs a
+        # double-precision sum of the series up to ~1e-12 of the value
+        value = mittag_leffler(MLParams(alpha, beta), z)
+        assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
+
     def test_erfc_identity_beyond_term_budget(self):
         # E_{1/2,1}(-x) = erfcx(x); the terms keep growing past 2000 of them
         p = MLParams(0.5, 1.0)
