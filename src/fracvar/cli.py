@@ -157,7 +157,7 @@ def _write_solution_csv(path: Path, p: Problem, sol: Solution) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "y", "v", "el_residual"])
-        for row in zip(t, sol.y.values, sol.v.values, sol.residual.values):
+        for row in zip(t, sol.y.values, sol.v.values, sol.residual.values.values):
             writer.writerow(map(_fmt, row))
 
 

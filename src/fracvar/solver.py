@@ -25,7 +25,7 @@ import scipy.linalg
 
 from .fracgrid import SampledFunction
 from .lagrange_dsl import AugmentedLagrangian
-from .variational import Discretization, Problem, el_residual
+from .variational import Discretization, ELResidual, Problem, el_residual
 
 __all__ = [
     "BracketFailureError",
@@ -84,13 +84,16 @@ class Solution:
 
     y: SampledFunction
     v: SampledFunction
-    residual: SampledFunction
+    residual: ELResidual
     objective: float
-    el_norm: float
     iterations: int
     converged: bool
     lam: float | None = None
     constraint_residual: float | None = None
+
+    @property
+    def el_norm(self) -> float:
+        return self.residual.norm_max_interior
 
 
 @dataclass
@@ -236,13 +239,11 @@ def _solve(p: Problem, opts: SolverOptions) -> Solution:
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         cur, iters = _newton(p, opts)
     y = SampledFunction(p.grid, cur.y)
-    res = el_residual(p, y, cur.lam)
     return Solution(
         y=y,
         v=SampledFunction(p.grid, cur.v),
-        residual=res.values,
+        residual=el_residual(p, y, cur.lam),
         objective=cur.objective,
-        el_norm=res.norm_max_interior,
         iterations=iters,
         converged=cur.gmax <= opts.grad_tol and abs(cur.constraint) <= opts.constraint_tol,
         lam=cur.lam,

@@ -151,6 +151,25 @@ class TestMittagLeffler:
         value = mittag_leffler(MLParams(alpha, beta), z)
         assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "alpha, beta, z, expected",
+        [
+            # oracle: the series summed in 60-digit arithmetic
+            (0.5, 2.0, -1.0, 0.5559627432513196),
+            (0.01, 2.0, -0.99, 0.5035695501277526),
+            (0.05, 2.0, -1.06, 0.49071595376849525),
+        ],
+    )
+    def test_benign_alternating_sum_stays_in_double(self, monkeypatch, alpha, beta, z, expected):
+        # the reference extremal's kernels: little cancellation, so the
+        # double-precision sum passes its roundoff gate at the default rel_tol
+        def no_mpmath(*args):
+            raise AssertionError("extended precision used")
+
+        monkeypatch.setattr("fracvar.special._sum_mpmath", no_mpmath)
+        value = mittag_leffler(MLParams(alpha, beta), z)
+        assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+
     def test_erfc_identity_beyond_term_budget(self):
         # E_{1/2,1}(-x) = erfcx(x); the terms keep growing past 2000 of them
         p = MLParams(0.5, 1.0)
