@@ -533,6 +533,11 @@ class Lagrangian:
         """Whether F is at most quadratic in (y, v): no second partial depends on y or v."""
         return not any(_variables(d) & {"y", "v"} for d in (self.d22, self.d23, self.d33))
 
+    @property
+    def affine(self) -> bool:
+        """Whether F is affine in (y, v): every second partial is the constant 0."""
+        return all(isinstance(d, Const) and d.value == 0.0 for d in (self.d22, self.d23, self.d33))
+
 
 def _variables(e: Expr) -> set[str]:
     if isinstance(e, Var):

@@ -1,7 +1,9 @@
 """Direct-method solver: Newton's method on the interior node values.
 
 Each step factors the Hessian of H (F, or F - lambda*G with a constraint),
-built from the Lagrangian's exact second partials, by Cholesky.  With a
+built from the Lagrangian's exact second partials, by Cholesky; when F is
+quadratic and G affine that Hessian is the same at every iterate and is
+built and factored once per solve.  With a
 constraint the same factor gives the bordered KKT step on (nodes, lambda)
 through a scalar Schur complement, so the quadratic family F = v^2, G = v is
 one linear solve.  A Hessian that is not positive definite is made so by
@@ -138,20 +140,27 @@ def _factor(hess: np.ndarray, a: np.ndarray | None) -> tuple[tuple, float, bool]
     mu0 = 1e-8 * scale
     tries = [(0.0, 0.0)] + [(scale / a_sq * 10.0**j, 0.0) for j in range(9) if a_sq > 0.0]
     for sigma, mu in itertools.chain(tries, ((0.0, mu0 * 10.0**j) for j in itertools.count())):
-        shifted = hess + np.outer(a, sigma * a) if sigma else hess.copy()
+        shifted = hess.copy(order="F")  # the layout LAPACK factors in place
+        if sigma:
+            shifted += np.outer(a, sigma * a)
         shifted[np.diag_indices_from(hess)] += mu
         try:
-            return scipy.linalg.cho_factor(shifted, overwrite_a=True), sigma, mu > mu0
+            return scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False), sigma, mu > mu0
         except scipy.linalg.LinAlgError:
             pass
 
 
 def _tangent_definite(hess: np.ndarray, grad_i: np.ndarray) -> bool:
     """Whether hess is positive definite orthogonally to grad_i: with u = grad_i/|grad_i|
-    and P = I - u u^T, P hess P + u u^T has the reduced Hessian's eigenvalues and 1."""
+    and P = I - u u^T, P hess P + u u^T has the reduced Hessian's eigenvalues and 1.
+    With w = hess u and c = 1 + u^T w, that matrix is the rank-two update
+    hess - u z^T - z u^T of hess, z = w - (c/2) u."""
     u = grad_i / np.linalg.norm(grad_i)
-    proj = np.eye(u.size) - np.outer(u, u)
-    return bool(np.linalg.eigvalsh(proj @ hess @ proj + np.outer(u, u))[0] > 0.0)
+    w = hess @ u
+    z = w - 0.5 * (1.0 + float(np.dot(u, w))) * u
+    reduced = hess - np.outer(u, z)
+    reduced -= np.outer(z, u)
+    return bool(np.linalg.eigvalsh(reduced)[0] > 0.0)
 
 
 def _newton_step(factor: tuple, sigma: float, cur: _Iterate) -> tuple[np.ndarray, float | None]:
@@ -160,11 +169,11 @@ def _newton_step(factor: tuple, sigma: float, cur: _Iterate) -> tuple[np.ndarray
     The factored matrix is K~ = K + sigma*a*a^T; since a^T dx = xi - I, the
     system is [[K~, -a], [-a^T, 0]] (dx, dlam - sigma*(I - xi)) = -(grad H, I - xi),
     two solves with K~ and the Schur complement a^T K~^-1 a."""
-    k_grad = scipy.linalg.cho_solve(factor, cur.grad)
+    k_grad = scipy.linalg.cho_solve(factor, cur.grad, check_finite=False)
     if cur.lam is None:
         return -k_grad, None
     a = cur.grad_i
-    k_a = scipy.linalg.cho_solve(factor, a)
+    k_a = scipy.linalg.cho_solve(factor, a, check_finite=False)
     s = float(np.dot(a, k_a))
     if not s > 1e-12 * float(np.linalg.norm(a)) * float(np.linalg.norm(k_a)):
         raise BracketFailureError("singular bordered KKT system: abnormal extremal, no multiplier")
@@ -207,21 +216,27 @@ def _newton(p: Problem, opts: SolverOptions) -> tuple[_Iterate, int]:
     cur = _evaluate(disc, x0, min(max(0.0, lo), hi) if p.constrained else None)
     grad_target = min(opts.grad_tol, 1e-12)
     constraint_target = min(opts.constraint_tol, 1e-12)
+    # with F quadratic and G affine the Hessian of F - lambda*G is that of F at
+    # every (y, lambda), and the constraint gradient is constant: one factor serves
+    constant = p.f.quadratic and (p.g is None or p.g.affine)
+    factor = None
     iters = 0
     while True:
-        lagr = p.f if cur.lam is None else AugmentedLagrangian(p.f, p.g, cur.lam)
-        hess = disc.hessian(lagr, cur.y, cur.v)
-        factor, sigma, indefinite = _factor(hess, cur.grad_i)
-        # a quadratic J has this Hessian everywhere: indefinite, it is unbounded below
-        if indefinite and cur.lam is None and p.f.quadratic:
-            raise NoMinimizerError("no minimizer: Hessian indefinite, and J is quadratic, so unbounded below")
+        if factor is None:
+            lagr = p.f if cur.lam is None else AugmentedLagrangian(p.f, p.g, cur.lam)
+            hess = disc.hessian(lagr, cur.y, cur.v)
+            factor, sigma, indefinite = _factor(hess, cur.grad_i)
+            # a quadratic J has this Hessian everywhere: indefinite, it is unbounded below
+            if indefinite and cur.lam is None and p.f.quadratic:
+                raise NoMinimizerError("no minimizer: Hessian indefinite, and J is quadratic, so unbounded below")
         if iters == opts.max_iters or (cur.gmax <= grad_target and abs(cur.constraint) <= constraint_target):
             break
         dx, dlam = _newton_step(factor, sigma, cur)
         nxt = _line_search(disc, cur, dx, dlam)
         if nxt is None:
             break
-        del hess, factor  # not held while the next Hessian is built
+        if not constant:
+            hess = factor = None  # not held while the next Hessian is built
         cur = nxt
         iters += 1
     if cur.lam is not None and not lo <= cur.lam <= hi:

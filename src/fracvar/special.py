@@ -83,6 +83,18 @@ def _log_abs_term(p: MLParams, log_abs_z: float, j: int) -> float:
     return j * log_abs_z - math.lgamma(p.alpha * j + p.beta)
 
 
+def _peak_log_term(p: MLParams, log_abs_z: float, max_terms: int) -> float:
+    """The largest log-term within max_terms.  The log-terms are concave in j,
+    so the terms are unimodal: the peak is the last term before they fall."""
+    peak = _log_abs_term(p, log_abs_z, 0)
+    for j in range(1, max_terms):
+        lg = _log_abs_term(p, log_abs_z, j)
+        if lg < peak:
+            break
+        peak = lg
+    return peak
+
+
 def _sum_direct(
     p: MLParams, z: float, rel_tol: float, max_terms: int
 ) -> tuple[float | None, float, float]:
@@ -90,6 +102,9 @@ def _sum_direct(
 
     Returns (value, max_abs_term, roundoff); value is None when the series did
     not converge within max_terms or a term overflowed double precision.
+    For z > 0 the terms are positive and unimodal, so every partial sum is at
+    most max_terms times the peak term: a last budgeted term above rel_tol
+    times that can never pass the stopping test, and the sum is not begun.
     For z < 0, roundoff bounds the rounding error of value: each term
     exp(j log|z| - lgamma(x)), x = alpha*j + beta, is off by a few eps times
     the size of what enters its exponent (rounding x moves lgamma by about
@@ -97,6 +112,10 @@ def _sum_direct(
     For z > 0 it is not accumulated.
     """
     log_abs_z = math.log(abs(z))
+    if z > 0.0:
+        peak = _peak_log_term(p, log_abs_z, max_terms)
+        if _log_abs_term(p, log_abs_z, max_terms - 1) > math.log(rel_tol * max_terms) + peak:
+            return None, math.inf, math.inf
     total = 0.0
     comp = 0.0
     max_term = 0.0
@@ -107,7 +126,7 @@ def _sum_direct(
         lg = _log_abs_term(p, log_abs_z, j)
         if lg > 700.0:
             return None, math.inf, math.inf
-        if j >= 256 and j % 128 == 0:
+        if z < 0.0 and j >= 256 and j % 128 == 0:
             # hopeless-budget estimate: extrapolate the per-term decay rate
             decay = lg - prev_lg  # log-decay over the last 128 terms
             remaining = max_terms - j
@@ -139,17 +158,11 @@ def _sum_direct(
 
 def _sum_mpmath(p: MLParams, z: float, rel_tol: float, max_terms: int) -> float:
     """Extended-precision summation sized to the peak term magnitude."""
-    # The log-terms are concave in j, so the terms are unimodal: the peak is
-    # the last term before they fall, and every partial sum is bounded by
-    # twice it.  A last term above that bound times rel_tol means no partial
-    # sum can pass the stopping test.
+    # The terms are unimodal (see _peak_log_term), so every partial sum of
+    # the alternating series is bounded by twice the peak.  A last term above
+    # that bound times rel_tol means no partial sum can pass the stopping test.
     log_abs_z = math.log(abs(z))
-    peak = _log_abs_term(p, log_abs_z, 0)
-    for j in range(1, max_terms):
-        lg = _log_abs_term(p, log_abs_z, j)
-        if lg < peak:
-            break
-        peak = lg
+    peak = _peak_log_term(p, log_abs_z, max_terms)
     if _log_abs_term(p, log_abs_z, max_terms - 1) > math.log(4.0 * rel_tol) + peak:
         raise MittagLefflerError(
             f"Mittag-Leffler series for alpha={p.alpha:g}, beta={p.beta:g}, z={z:g} "
@@ -283,6 +296,9 @@ def mittag_leffler(
 ) -> float:
     """Evaluate sum_{j>=0} z^j / gamma(alpha*j + beta) for real z.
 
+    For z > 0 the value is the direct sum, whose relative error is about eps
+    times the largest log-term j*log(z) - lgamma(alpha*j + beta), not rel_tol:
+    E_{0.368142,1.119037}(4.691396), whose log-terms reach 63, is 2.1e-14 off.
     For z < 0 and alpha < 1, when no series route converges within
     max_terms, the value comes from the integral representation, whose
     relative accuracy is about max(rel_tol, 1e-13), not rel_tol below that.

@@ -317,6 +317,18 @@ class TestReference:
         )
         assert code == EXIT_SCHEMA
 
+    def test_positive_argument_peak_past_256_terms(self, capsys):
+        # k < 0 makes the Mittag-Leffler argument positive; at t = 0.3 it is
+        # E_{0.3,2}(3.48423...), whose terms peak at j = 209 and converge
+        # within the term budget
+        code, out, _ = run(capsys, "reference", "--alpha", 0.7, "--k", -5, "--xi", 1, "--n", 11)
+        assert code == EXIT_OK
+        row = out.strip().splitlines()[4].split(",")
+        assert float(row[0]) == pytest.approx(0.3, abs=1e-15)
+        # oracle: t * E_{1-alpha,2}(-k t^(1-alpha)) at the node's double
+        # values, the series summed in 60-digit arithmetic
+        assert float(row[1]) == pytest.approx(1.1008309958963422e26, rel=1e-12)
+
     def test_series_failure(self, capsys):
         # k < 0 makes the Mittag-Leffler argument positive; at alpha = 0.999
         # its series does not converge within the term budget

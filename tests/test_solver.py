@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracvar.fracgrid import FracOrder, Grid
 from fracvar.lagrange_dsl import Lagrangian
@@ -11,10 +12,11 @@ from fracvar.solver import (
     NoMinimizerError,
     Solution,
     SolverOptions,
+    _tangent_definite,
     solve_isoperimetric,
     solve_unconstrained,
 )
-from fracvar.variational import Problem, constraint_value, discrete_gradient
+from fracvar.variational import Discretization, Problem, constraint_value, discrete_gradient
 
 V2 = Lagrangian.parse("v^2")
 V = Lagrangian.parse("v")
@@ -273,3 +275,76 @@ class TestIsoperimetric:
         )
         with pytest.raises(BracketFailureError):
             solve_isoperimetric(p, SolverOptions(lambda_bracket=(-100.0, 100.0)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("margin", [0.05, -0.05])
+def test_tangent_definite_matches_null_space(seed, margin):
+    # a symmetric matrix shifted so that its least eigenvalue on the
+    # orthogonal complement of a is margin, against an explicit basis of it
+    rng = np.random.default_rng(seed)
+    n = 30
+    b = rng.standard_normal((n, n))
+    a = rng.standard_normal(n)
+    basis = scipy.linalg.null_space(a[None, :])
+    hess = b + b.T
+    hess += (margin - np.linalg.eigvalsh(basis.T @ hess @ basis)[0]) * np.eye(n)
+    assert np.linalg.eigvalsh(basis.T @ hess @ basis)[0] == pytest.approx(margin, abs=1e-10)
+    assert _tangent_definite(hess, a) == (margin > 0.0)
+
+
+class TestHessianReuse:
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"hessian": 0, "cho_factor": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(Discretization, "hessian")
+        counted(scipy.linalg, "cho_factor")
+        return calls
+
+    def test_quadratic_with_linear_constraint_factors_once(self, monkeypatch):
+        # criterion 4's problem: F - lambda*G has one Hessian for every
+        # (y, lambda), built and factored once for the steps and the final check
+        grid = Grid(0.0, 1.0, 201)
+        spec = ReferenceSpec(k=1.0, order=FracOrder(0.5), xi=1.0, grid=grid)
+        p = quadratic_problem(0.5, 1.0, 201, boundary_value(spec), xi=1.0)
+        calls = self.count_calls(monkeypatch)
+        sol = solve_isoperimetric(p)
+        assert sol.converged and sol.iterations >= 1
+        assert calls == {"hessian": 1, "cho_factor": 1}
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            ("v^4 + y^2", None),
+            # quadratic F, but the Hessian of F - lambda*G moves with lambda
+            ("v^2", "y^2"),
+        ],
+    )
+    def test_nonconstant_builds_one_per_step(self, monkeypatch, f, g):
+        # one Hessian and factor per Newton step, and one at the final iterate
+        p = Problem(
+            f=Lagrangian.parse(f),
+            k=1.0,
+            order=FracOrder(0.5),
+            grid=Grid(0.0, 1.0, 201),
+            ya=0.0,
+            yb=1.0,
+            g=None if g is None else Lagrangian.parse(g),
+            xi=None if g is None else 10.0,
+        )
+        calls = self.count_calls(monkeypatch)
+        sol = (solve_unconstrained if g is None else solve_isoperimetric)(p)
+        assert sol.converged and sol.iterations >= 2
+        assert calls["hessian"] == sol.iterations + 1
+        # a Hessian indefinite on the way takes more than one try to factor
+        assert calls["cho_factor"] >= sol.iterations + 1

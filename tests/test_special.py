@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -185,3 +186,33 @@ class TestMittagLeffler:
     def test_non_convergence(self):
         with pytest.raises(MittagLefflerError):
             mittag_leffler(MLParams(1.0, 1.0), 5.0, max_terms=3)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, z",
+        [
+            # the reference extremal's kernel at alpha = 0.7, k = -5, t = 0.3,
+            # z to six digits: terms peak near e^57 at j = 209
+            (0.3, 2.0, 3.48423),
+            # terms peak near e^145 at j = 514
+            (0.294167, 1.83971, 4.38827),
+        ],
+    )
+    def test_positive_argument_peak_past_256_terms(self, alpha, beta, z):
+        # the terms still grow at j = 256 and fall below 1e-15 of the sum
+        # within the 2000-term budget
+        value = mittag_leffler(MLParams(alpha, beta), z)
+        assert value == pytest.approx(series_60_digits(alpha, beta, z), rel=1e-12)
+
+
+def series_60_digits(alpha, beta, z):
+    """The Mittag-Leffler series summed in 60-digit arithmetic, with the double
+    parameters taken exactly, until a term falls below 1e-70 of the sum."""
+    with mpmath.workdps(60):
+        a, b, zz = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
+        total = mpmath.mpf(0)
+        for j in range(100000):
+            term = zz**j * mpmath.rgamma(a * j + b)
+            total += term
+            if j > 10 and abs(term) < mpmath.mpf(10) ** -70 * abs(total):
+                return float(total)
+    raise AssertionError("oracle series did not converge")

@@ -110,6 +110,26 @@ class TestDiscreteOperators:
             fd = (disc.gradient(p.f, plus, disc.v(plus)) - disc.gradient(p.f, minus, disc.v(minus)))[1:-1]
             np.testing.assert_allclose(hess[:, j], fd / (2.0 * eps), rtol=1e-6, atol=1e-6 * np.max(np.abs(hess)))
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 41, 203])
+    @pytest.mark.parametrize("k", [0.0, 0.7])
+    @pytest.mark.parametrize("source", ["v^4 + sin(t) * y^2", "v^4 + sin(t) * y^2 + y*v"])
+    def test_hessian_matches_dense_product(self, n, k, source):
+        # the column-block assembly against M^T W M + C + C^T + diag(w H_yy),
+        # with W = diag(w H_vv) and C = diag(w H_yv) M, all n x n
+        p = make_problem(f=Lagrangian.parse(source), k=k, alpha=0.3, n=n)
+        disc = Discretization(p)
+        t = p.grid.nodes()
+        y = t + 0.3 * np.sin(math.pi * t)
+        v = disc.v(y)
+        m = dense_difference_matrix(p.grid) + k * assemble_frac_operator(p.grid, p.order, Side.LEFT).weights
+        w = p.grid.h * np.r_[0.25, 1.25, np.ones(n - 4), 1.25, 0.25]
+        cross = (w * p.f.dyv(t, y, v))[:, None] * m
+        dense = m.T @ ((w * p.f.dvv(t, y, v))[:, None] * m) + cross + cross.T
+        dense += np.diag(w * p.f.dyy(t, y, v))
+        hess = disc.hessian(p.f, y, v)
+        assert np.max(np.abs(hess - dense[1:-1, 1:-1])) <= 1e-13 * np.max(np.abs(dense))
+        np.testing.assert_array_equal(hess, hess.T)
+
 
 class TestCombinedDerivative:
     def test_k_zero_reduces_to_classical(self):
