@@ -1,26 +1,26 @@
 """Scalar special functions: gamma, the complementary error function, and the
 two-parameter Mittag-Leffler function.
 
-The Mittag-Leffler evaluator handles four regimes:
+The Mittag-Leffler function E_{alpha,beta}(z) has two routes:
 
-* plain compensated summation; for z < 0 only where its roundoff bound is
-  within max(rel_tol, 1e-11) of the value,
-* extended-precision summation (mpmath) where the alternating series
-  cancels beyond that bound (negative arguments),
-* Cohen-Villegas-Zagier acceleration when the terms decay too slowly for
-  direct summation (first parameter close to zero),
-* the integral representation of Gorenflo, Loutchko and Luchko for z < 0
-  and a first parameter below one, wherever no series route converges
-  within the term budget.
+* |z| <= 1/2: its power series, which converges within ~60 terms and
+  cancels at most a few times over;
+* every other real z: Garrappa's inversion of its Laplace transform
+  s^(alpha-beta) / (s^alpha - z) (R. Garrappa, "Numerical evaluation of two
+  and three parameter Mittag-Leffler functions", SIAM J. Numer. Anal. 53,
+  2015).  The trapezoid rule runs on the parabolic contour
+  s = mu (1 + iu)^2 (Weideman and Trefethen, Math. Comp. 76, 2007), placed
+  per argument between the singularities where it needs the fewest nodes,
+  and the residues of the poles to its right are added exactly.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath
-import scipy.integrate
+import numpy as np
 
 __all__ = [
     "GammaPoleError",
@@ -36,6 +36,11 @@ __all__ = [
 _GAMMA_MAX = 171.624376956302
 
 _EPS = 2.220446049250313e-16
+_LOG_EPS = math.log(_EPS)
+#: Target relative accuracy of the contour integral, as a logarithm.
+_LOG_TOL = math.log(1e-15)
+#: e^s overflows double precision past this real part.
+_RE_MAX = 709.0
 
 
 class GammaPoleError(ValueError):
@@ -47,7 +52,7 @@ class GammaOverflowError(OverflowError):
 
 
 class MittagLefflerError(ArithmeticError):
-    """The Mittag-Leffler series did not converge within the term budget."""
+    """The Mittag-Leffler function overflows double precision."""
 
 
 def gamma(x: float) -> float:
@@ -79,270 +84,166 @@ class MLParams:
             )
 
 
-def _log_abs_term(p: MLParams, log_abs_z: float, j: int) -> float:
-    return j * log_abs_z - math.lgamma(p.alpha * j + p.beta)
-
-
-def _peak_log_term(p: MLParams, log_abs_z: float, max_terms: int) -> float:
-    """The largest log-term within max_terms.  The log-terms are concave in j,
-    so the terms are unimodal: the peak is the last term before they fall."""
-    peak = _log_abs_term(p, log_abs_z, 0)
-    for j in range(1, max_terms):
-        lg = _log_abs_term(p, log_abs_z, j)
-        if lg < peak:
-            break
-        peak = lg
-    return peak
-
-
-def _sum_direct(
-    p: MLParams, z: float, rel_tol: float, max_terms: int
-) -> tuple[float | None, float, float]:
-    """Compensated direct summation.
-
-    Returns (value, max_abs_term, roundoff); value is None when the series did
-    not converge within max_terms or a term overflowed double precision.
-    For z > 0 the terms are positive and unimodal, so every partial sum is at
-    most max_terms times the peak term: a last budgeted term above rel_tol
-    times that can never pass the stopping test, and the sum is not begun.
-    For z < 0, roundoff bounds the rounding error of value: each term
-    exp(j log|z| - lgamma(x)), x = alpha*j + beta, is off by a few eps times
-    the size of what enters its exponent (rounding x moves lgamma by about
-    x |psi(x)| eps), and the compensated sum by a few eps of its value.
-    For z > 0 it is not accumulated.
-    """
-    log_abs_z = math.log(abs(z))
-    if z > 0.0:
-        peak = _peak_log_term(p, log_abs_z, max_terms)
-        if _log_abs_term(p, log_abs_z, max_terms - 1) > math.log(rel_tol * max_terms) + peak:
-            return None, math.inf, math.inf
-    total = 0.0
-    comp = 0.0
-    max_term = 0.0
-    spread = 0.0
-    small_streak = 0
-    prev_lg = -math.inf
-    for j in range(max_terms):
-        lg = _log_abs_term(p, log_abs_z, j)
-        if lg > 700.0:
-            return None, math.inf, math.inf
-        if z < 0.0 and j >= 256 and j % 128 == 0:
-            # hopeless-budget estimate: extrapolate the per-term decay rate
-            decay = lg - prev_lg  # log-decay over the last 128 terms
-            remaining = max_terms - j
-            target = math.log(rel_tol) + math.log(max(abs(total), 1e-300))
-            if decay >= 0.0 or lg + decay * (remaining / 128.0) > target:
-                return None, max_term, math.inf
-        if j % 128 == 0:
-            prev_lg = lg
-        term = math.exp(lg)
-        if z < 0.0:
-            # |lgamma(x)| <= |j log|z|| + |lg|
-            x = p.alpha * j + p.beta
-            spread += term * (2.0 + 2.0 * abs(j * log_abs_z) + abs(lg) + x * abs(math.log(x)))
-            if j % 2 == 1:
-                term = -term
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        max_term = max(max_term, abs(term))
-        if j > 0 and abs(term) <= rel_tol * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
-                return total, max_term, 4.0 * _EPS * (spread + abs(total))
-        else:
-            small_streak = 0
-    return None, max_term, math.inf
-
-
-def _sum_mpmath(p: MLParams, z: float, rel_tol: float, max_terms: int) -> float:
-    """Extended-precision summation sized to the peak term magnitude."""
-    # The terms are unimodal (see _peak_log_term), so every partial sum of
-    # the alternating series is bounded by twice the peak.  A last term above
-    # that bound times rel_tol means no partial sum can pass the stopping test.
-    log_abs_z = math.log(abs(z))
-    peak = _peak_log_term(p, log_abs_z, max_terms)
-    if _log_abs_term(p, log_abs_z, max_terms - 1) > math.log(4.0 * rel_tol) + peak:
-        raise MittagLefflerError(
-            f"Mittag-Leffler series for alpha={p.alpha:g}, beta={p.beta:g}, z={z:g} "
-            f"did not converge within {max_terms} terms"
-        )
-    dps = 25 + max(0, int(peak / math.log(10.0)))
-    with mpmath.workdps(dps):
-        zz = mpmath.mpf(z)
-        # the order enters in extended precision: alpha*j rounded to double
-        # would perturb each term by ~1e-16 of the peak, not of the sum
-        a = mpmath.mpf(p.alpha)
-        power = mpmath.mpf(1)
-        total = mpmath.mpf(0)
-        tol = mpmath.mpf(rel_tol)
-        small_streak = 0
-        for j in range(max_terms):
-            term = power * mpmath.rgamma(a * j + p.beta)
-            power *= zz
-            total += term
-            if j > 0 and abs(term) <= tol * abs(total):
-                small_streak += 1
-                if small_streak >= 2:
-                    return float(total)
-            else:
-                small_streak = 0
-    raise MittagLefflerError(
-        f"Mittag-Leffler series for alpha={p.alpha:g}, beta={p.beta:g}, z={z:g} "
-        f"did not converge within {max_terms} terms"
-    )
-
-
-def _cvz_accelerate(terms: list[float]) -> float:
-    """Cohen-Villegas-Zagier sum of sum_j (-1)^j terms[j], terms[j] >= 0."""
-    n = len(terms)
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = (d + 1.0 / d) / 2.0
-    b = -1.0
-    c = -d
-    s = 0.0
-    for k in range(n):
-        c = b - c
-        s += c * terms[k]
-        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-    return s / d
-
-
-def _sum_alternating_accelerated(p: MLParams, z: float, rel_tol: float) -> float:
-    """Accelerated evaluation for z < 0 with slowly decaying, bounded terms."""
-    log_abs_z = math.log(abs(z))
-
-    def value(n: int) -> float:
-        terms = [math.exp(_log_abs_term(p, log_abs_z, j)) for j in range(n)]
-        return _cvz_accelerate(terms)
-
-    prev = value(24)
-    for n in (32, 48, 64, 96):
-        cur = value(n)
-        if abs(cur - prev) <= max(rel_tol * 10.0, 1e-13) * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise MittagLefflerError(
-        f"accelerated Mittag-Leffler sum for alpha={p.alpha:g}, beta={p.beta:g}, "
-        f"z={z:g} did not stabilize"
-    )
-
-
-def _integral_negative(p: MLParams, x: float, rel_tol: float) -> float:
-    """E_{alpha,beta}(-x) for 0 < alpha < 1 and x > 0 by quadrature.
-
-    With chi the integration variable (Gorenflo, Loutchko and Luchko 2002),
-
-        E_{alpha,beta}(-x) = 1/(alpha*pi) * integral_0^inf chi^((1-beta)/alpha)
-            * exp(-chi^(1/alpha)) * (chi*sin(pi*(1-beta)) + x*sin(pi*(1-beta+alpha)))
-            / (chi^2 + 2*chi*x*cos(alpha*pi) + x^2) dchi,
-
-    valid for beta < 1 + alpha.  Larger beta is brought down to at most
-    1 + alpha/2, away from the non-integrable weight at beta = 1 + alpha, by
-    E_{alpha,beta}(z) = (E_{alpha,beta-alpha}(z) - 1/gamma(beta-alpha)) / z,
-    unwound step by step after one quadrature.  The quadrature error bounds,
-    carried through the unwinding, must stay below max(rel_tol, 1e-13) of the
-    result; otherwise MittagLefflerError is raised.
-    """
-    a, b = p.alpha, p.beta
-    lowered = []
-    while b > 1.0 + 0.5 * a:
-        b -= a
-        lowered.append(b)
-    s1 = math.sin(math.pi * (1.0 - b))
-    s2 = math.sin(math.pi * (1.0 - b + a))
-    c = math.cos(a * math.pi)
-
-    def f(chi: float) -> float:
-        return (
-            math.exp(-(chi ** (1.0 / a)))
-            * (chi * s1 + x * s2)
-            / (chi * chi + 2.0 * chi * x * c + x * x)
-        )
-
-    tol = max(rel_tol, 1e-13)
-    # the algebraic weight chi^((1-beta)/alpha) is integrated exactly on
-    # [0, 1]; beyond chi = 745^alpha the exponential underflows
-    head, head_err = scipy.integrate.quad(
-        f, 0.0, 1.0, weight="alg", wvar=((1.0 - b) / a, 0.0),
-        epsabs=0.0, epsrel=tol, limit=200,
-    )
-    top = 745.0**a
-    # the denominator is smallest at chi = -x*cos(alpha*pi) when alpha > 1/2
-    dip = -x * c
-    tail, tail_err = scipy.integrate.quad(
-        lambda chi: chi ** ((1.0 - b) / a) * f(chi), 1.0, top,
-        points=[dip] if 1.0 < dip < top else None,
-        epsabs=0.0, epsrel=tol, limit=200,
-    )
-    value = (head + tail) / (a * math.pi)
-    err = (head_err + tail_err) / (a * math.pi)
-    for lower in reversed(lowered):
-        shift = 1.0 / gamma(lower)
-        # an error in the lower value is divided by x; add the rounding
-        err = (err + _EPS * (abs(value) + shift)) / x
-        value = (value - shift) / -x
-    if not err <= tol * abs(value):
-        raise MittagLefflerError(
-            f"Mittag-Leffler integral for alpha={p.alpha:g}, beta={p.beta:g}, "
-            f"z={-x:g} has error bound {err:.3g}, above {tol:g} of its value {value:.6g}"
-        )
-    return value
-
-
-def mittag_leffler(
-    p: MLParams, z: float, rel_tol: float = 1e-15, max_terms: int = 2000
-) -> float:
+def mittag_leffler(p: MLParams, z: float) -> float:
     """Evaluate sum_{j>=0} z^j / gamma(alpha*j + beta) for real z.
 
-    For z > 0 the value is the direct sum, whose relative error is about eps
-    times the largest log-term j*log(z) - lgamma(alpha*j + beta), not rel_tol:
-    E_{0.368142,1.119037}(4.691396), whose log-terms reach 63, is 2.1e-14 off.
-    For z < 0 and alpha < 1, when no series route converges within
-    max_terms, the value comes from the integral representation, whose
-    relative accuracy is about max(rel_tol, 1e-13), not rel_tol below that.
-    MittagLefflerError is raised when no route reaches its tolerance.
+    The series serves |z| <= 1/2 and the contour integral every other z.
+    For z < 0 the relative error is a few eps.  For z > 0 the value is
+    about e^(z^(1/alpha)) and its relative error about eps * z^(1/alpha),
+    the rounding of that exponent.  Past beta ~ 15 the contour's terms
+    outgrow the value, which loses digits: E_{1.5,20}(-5) is 2e-9 off.
+    MittagLefflerError is raised where the value overflows double precision.
     """
-    if z == 0.0:
-        return 1.0 / gamma(p.beta)
+    if abs(z) <= 0.5:
+        return _series(p, z)
+    return _contour(p, z)
 
-    value, max_term, roundoff = _sum_direct(p, z, rel_tol, max_terms)
 
-    if z > 0.0:
-        if value is None:
+def _series(p: MLParams, z: float) -> float:
+    # for |z| <= 1/2 the term ratio |z| gamma(x) / gamma(x + alpha) is at
+    # most 1 after the first term and falls from there, so the tail is
+    # within a few times the last term
+    total = 0.0
+    j = 0
+    while (x := p.alpha * j + p.beta) < _GAMMA_MAX:  # 1/gamma(x) underflows past it
+        term = z**j / math.gamma(x)
+        total += term
+        if j > 0 and abs(term) <= 0.25 * _EPS * abs(total):
+            break
+        j += 1
+    return total
+
+
+def _poles(p: MLParams, z: float) -> list[complex]:
+    """Poles of s^(alpha-beta) / (s^alpha - z) on the principal sheet,
+    s* = |z|^(1/alpha) e^(i(theta + 2k pi)/alpha) with |arg s*| <= pi."""
+    theta = 0.0 if z > 0.0 else math.pi
+    k_min = math.ceil(-p.alpha / 2.0 - theta / (2.0 * math.pi))
+    k_max = math.floor(p.alpha / 2.0 - theta / (2.0 * math.pi))
+    poles = []
+    # |z|^(1/alpha) may overflow where no pole exists (z < 0 and alpha < 1),
+    # so it is taken only from here on
+    log_r = math.log(abs(z)) / p.alpha
+    for k in range(k_min, k_max + 1):
+        angle = (theta + 2.0 * math.pi * k) / p.alpha
+        cos = math.cos(angle)
+        if cos > 0.0 and log_r + math.log(cos) > math.log(_RE_MAX):
             raise MittagLefflerError(
-                f"Mittag-Leffler series for alpha={p.alpha:g}, beta={p.beta:g}, "
-                f"z={z:g} did not converge within {max_terms} terms"
+                f"Mittag-Leffler function E_{{{p.alpha:g},{p.beta:g}}}({z:g}) overflows "
+                f"double precision: a pole s of its Laplace transform has Re s > {_RE_MAX:g}"
             )
-        return value
-    try:
-        return _sum_negative(p, z, value, max_term, roundoff, rel_tol, max_terms)
-    except MittagLefflerError:
-        if p.alpha >= 1.0:
-            raise
-        return _integral_negative(p, -z, rel_tol)
+        poles.append(cmath.rect(math.exp(log_r), angle))
+    return poles
 
 
-def _sum_negative(
-    p: MLParams,
-    z: float,
-    value: float | None,
-    max_term: float,
-    roundoff: float,
-    rel_tol: float,
-    max_terms: int,
-) -> float:
-    # z < 0: the series alternates; the direct sum stands only when its
-    # roundoff bound is within max(rel_tol, 1e-11) of it.  The bound adds
-    # worst-case term errors linearly and overstates the error 10 to 1000
-    # times: on 432 random convergent sums (first parameter 0.01 to 1.5,
-    # beta 0.5 to 3, z down to -4) the accepted ones were within 1.3e-13 of
-    # a 60-digit sum, the accuracy of the other double-precision routes.
-    if value is not None and roundoff <= max(rel_tol, 1e-11) * abs(value):
-        return value
-    if value is not None or math.isinf(max_term) or max_term > 1e15:
-        # Cancellation, or a peak term beyond double precision: extended precision.
-        return _sum_mpmath(p, z, rel_tol, max_terms)
-    # Bounded terms that decay too slowly (alpha close to zero).
-    return _sum_alternating_accelerated(p, z, rel_tol)
+def _contour(p: MLParams, z: float) -> float:
+    """E_{alpha,beta}(z) by the trapezoid rule on a parabolic contour."""
+    # a pole s* bounds the parabolas that pass left of it by
+    # phi = (Re s* + |s*|) / 2; poles with phi = 0 lie on the branch cut,
+    # which every contour keeps to its left
+    def phi_of(s: complex) -> float:
+        return (s.real + abs(s)) / 2.0
+
+    poles = sorted((s for s in _poles(p, z) if phi_of(s) > 1e-15), key=phi_of)
+    # singularities by phi: the origin, whose strength comes from the branch
+    # point of s^(alpha-beta), then the simple poles; region j lies between
+    # singularity j and j + 1, and on the contour through it e^s must stay
+    # within tol/eps of the value
+    phi = [0.0, *map(phi_of, poles), math.inf]
+    strength = max(0.0, -2.0 * (p.alpha - p.beta + 1.0))
+    regions = [
+        j for j in range(len(poles) + 1) if phi[j] < _LOG_TOL - _LOG_EPS and phi[j] < phi[j + 1]
+    ]
+    log_tol = _LOG_TOL
+    while True:
+        n, mu, h, j = min(
+            (*_region(phi[j], phi[j + 1], strength if j == 0 else 1.0, log_tol), j) for j in regions
+        )
+        if n <= 200:
+            break
+        # as published: past 200 nodes, a tenth of the accuracy
+        log_tol += math.log(10.0)
+    u = h * np.arange(n + 1)
+    s = mu * (1.0 + 1j * u) ** 2
+    f = np.exp(s) * s ** (p.alpha - p.beta) / (s**p.alpha - z) * (2.0 * mu * (1j - u))
+    # for real z the nodes at -u give the conjugates: f(-u) = -conj(f(u))
+    integral = h / (2.0 * math.pi) * (2.0 * f.imag.sum() - f[0].imag)
+    # the poles right of the contour
+    residues = sum((s ** (1.0 - p.beta) * cmath.exp(s) for s in poles[j:]), 0j) / p.alpha
+    return integral + residues.real
+
+
+def _region(phi_j: float, phi_j1: float, p_j: float, log_tol: float) -> tuple[float, float, float]:
+    """(nodes N, mu, step h) of the contour right of singularity j, of
+    strength p_j, and left of j + 1, a simple pole, if there is one."""
+    if math.isinf(phi_j1):
+        return _unbounded_region(phi_j, p_j, log_tol)
+    return _bounded_region(phi_j, phi_j1, p_j, log_tol)
+
+
+def _bounded_region(
+    phi_j: float, phi_j1: float, p_j: float, log_tol: float
+) -> tuple[float, float, float]:
+    """Garrappa's OptimalParam_RB: (nodes N, mu, step h) of the contour
+    between singularity j of strength p_j and the simple pole j + 1."""
+    fac = 1.01
+    f_max = math.exp(log_tol - _LOG_EPS)
+    sq_j = math.sqrt(phi_j)
+    sq_j1 = min(math.sqrt(phi_j1), 2.0 * math.sqrt(log_tol - _LOG_EPS) - sq_j)
+    if p_j < 1e-14:
+        # only the origin (sq_j = 0) can be this weak
+        f_bar = fac + fac / f_max * (f_max - fac)
+        bar_j = sq_j
+        bar_j1 = 2.0 * sq_j1 / (2.0 + 1.0 / f_bar)
+    else:
+        f_min = fac * ((sq_j + sq_j1) / (sq_j1 - sq_j)) ** max(p_j, 1.0)
+        if f_min >= f_max:
+            return math.inf, 0.0, 0.0
+        f_min = max(f_min, 1.5)
+        f_bar = f_min + f_min / f_max * (f_max - f_min)
+        fp = f_bar ** (-1.0 / p_j)
+        fq = 1.0 / f_bar
+        w = -phi_j1 / log_tol
+        den = 2.0 + w - (1.0 + w) * fp + fq
+        bar_j = ((2.0 + w + fq) * sq_j + fp * sq_j1) / den
+        bar_j1 = (-(1.0 + w) * fq * sq_j + (2.0 + w - (1.0 + w) * fp) * sq_j1) / den
+    log_tol -= math.log(f_bar)
+    w = -bar_j1**2 / log_tol
+    mu = (((1.0 + w) * bar_j + bar_j1) / (2.0 + w)) ** 2
+    h = -2.0 * math.pi / log_tol * (bar_j1 - bar_j) / ((1.0 + w) * bar_j + bar_j1)
+    return math.ceil(math.sqrt(1.0 - log_tol / mu) / h), mu, h
+
+
+def _unbounded_region(phi_j: float, p_j: float, log_tol: float) -> tuple[float, float, float]:
+    """Garrappa's OptimalParam_RU: (nodes N, mu, step h) of the contour
+    right of the last singularity j, of strength p_j."""
+    sq_j = math.sqrt(phi_j)
+    phi_bar = 1.01 * phi_j if phi_j > 0.0 else 0.01
+    sq_bar = math.sqrt(phi_bar)
+    f_tar = 5.0
+    while True:
+        log_eps_phi = log_tol / phi_bar
+        n = math.ceil(phi_bar / math.pi * (1.0 - 1.5 * log_eps_phi + math.sqrt(1.0 - 2.0 * log_eps_phi)))
+        a = math.pi * n / phi_bar
+        sq_mu = sq_bar * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
+        f_bar = ((sq_bar - sq_j) / sq_mu) ** (-p_j)
+        if p_j < 1e-14 or 1.0 < f_bar < 10.0:
+            break
+        sq_bar = f_tar ** (-1.0 / p_j) * sq_mu + sq_j
+        phi_bar = sq_bar**2
+    mu = sq_mu**2
+    h = (-3.0 * a - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
+    # past mu = log(tol/eps), e^s on the contour would swamp the value in
+    # roundoff: shrink the contour to that mu
+    threshold = log_tol - _LOG_EPS
+    if mu > threshold:
+        q = 0.0 if p_j < 1e-14 else f_tar ** (-1.0 / p_j) * math.sqrt(mu)
+        phi_bar = (q + sq_j) ** 2
+        if phi_bar >= threshold:
+            return math.inf, 0.0, 0.0
+        w = math.sqrt(_LOG_EPS / (_LOG_EPS - log_tol))
+        u = math.sqrt(-phi_bar / _LOG_EPS)
+        mu = threshold
+        n = math.ceil(w * log_tol / (2.0 * math.pi * (u * w - 1.0)))
+        h = w / n
+    return n, mu, h

@@ -329,13 +329,24 @@ class TestReference:
         # values, the series summed in 60-digit arithmetic
         assert float(row[1]) == pytest.approx(1.1008309958963422e26, rel=1e-12)
 
-    def test_series_failure(self, capsys):
+    def test_first_parameter_near_zero(self, capsys):
         # k < 0 makes the Mittag-Leffler argument positive; at alpha = 0.999
-        # its series does not converge within the term budget
-        code, out, err = run(capsys, "reference", "--alpha", 0.999, "--k", -1, "--xi", 1, "--n", 9)
+        # and t = 1 it is E_{0.001,2}(1), whose series converges too slowly
+        # to sum directly
+        code, out, _ = run(capsys, "reference", "--alpha", 0.999, "--k", -1, "--xi", 1, "--n", 9)
+        assert code == EXIT_OK
+        row = out.strip().splitlines()[-2].split(",")
+        assert float(row[0]) == 1.0
+        # oracle: the series of E_{0.001,2}(1) summed in 40-digit arithmetic
+        assert float(row[1]) == pytest.approx(1181.8918785744083, rel=1e-12)
+
+    def test_overflow(self, capsys):
+        # at t = 1 the value is about e^(5^10)
+        code, out, err = run(capsys, "reference", "--alpha", 0.9, "--k", -5, "--xi", 1, "--n", 9)
         assert code == EXIT_DOMAIN
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert "Mittag-Leffler" in err
 
 
 class TestConvergence:

@@ -108,7 +108,7 @@ class TestSeriesClosedForm:
         y = ml_convolution_extremal(s)
         for t, value in zip(s.grid.nodes(), y.values):
             integral, _ = scipy.integrate.quad(
-                lambda u: mittag_leffler(params, -k * u, rel_tol=1e-12), 0.0, t**p,
+                lambda u: mittag_leffler(params, -k * u), 0.0, t**p,
                 weight="alg", wvar=(alpha / p, 0.0), epsabs=0.0, epsrel=1e-13, limit=200,
             )
             assert value == pytest.approx(1.3 * integral / p, rel=1e-10, abs=0.0)

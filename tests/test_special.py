@@ -11,7 +11,6 @@ from fracvar.special import (
     GammaPoleError,
     MittagLefflerError,
     MLParams,
-    _integral_negative,
     erfc,
     gamma,
     mittag_leffler,
@@ -110,8 +109,8 @@ class TestMittagLeffler:
             assert abs(mittag_leffler(p, -float(x)) - expected) <= 1e-10
 
     def test_small_first_parameter(self):
-        # terms decay too slowly for direct summation; the accelerated path
-        # must still agree with the alpha -> 0 limit 1/(1 - z) to O(alpha)
+        # the terms decay too slowly for direct summation; the value must
+        # still agree with the alpha -> 0 limit 1/(1 - z) to O(alpha)
         value = mittag_leffler(MLParams(0.001, 1.0), -1.0)
         assert value == pytest.approx(0.5, abs=2e-3)
         assert value == pytest.approx(0.499855696078524, rel=1e-10)
@@ -144,32 +143,20 @@ class TestMittagLeffler:
             (0.42972, 1.0, -2.02385, 0.2657873855142672),
             (0.21457, 2.5, -1.56706, 0.3201590344782786),
             (0.5, 2.0, -3.0, 0.28490429471865863),
-        ],
-    )
-    def test_moderate_cancellation(self, alpha, beta, z, expected):
-        # the terms peak 60 to 420 times above the sum, which costs a
-        # double-precision sum of the series up to ~1e-12 of the value
-        value = mittag_leffler(MLParams(alpha, beta), z)
-        assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
-
-    @pytest.mark.parametrize(
-        "alpha, beta, z, expected",
-        [
-            # oracle: the series summed in 60-digit arithmetic
+            # the reference extremal's kernels, with little cancellation
             (0.5, 2.0, -1.0, 0.5559627432513196),
             (0.01, 2.0, -0.99, 0.5035695501277526),
             (0.05, 2.0, -1.06, 0.49071595376849525),
+            # a node of the benchmark's cancellation item (alpha = 0.5, k = 3)
+            (0.5, 2.0, -2.294558781116753, 0.344983721917681),
         ],
     )
-    def test_benign_alternating_sum_stays_in_double(self, monkeypatch, alpha, beta, z, expected):
-        # the reference extremal's kernels: little cancellation, so the
-        # double-precision sum passes its roundoff gate at the default rel_tol
-        def no_mpmath(*args):
-            raise AssertionError("extended precision used")
-
-        monkeypatch.setattr("fracvar.special._sum_mpmath", no_mpmath)
+    def test_moderate_cancellation(self, alpha, beta, z, expected):
+        # the first three: the terms peak 60 to 420 times above the sum,
+        # which costs a double-precision sum of the series up to ~1e-12 of
+        # the value
         value = mittag_leffler(MLParams(alpha, beta), z)
-        assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_erfc_identity_beyond_term_budget(self):
         # E_{1/2,1}(-x) = erfcx(x); the terms keep growing past 2000 of them
@@ -177,15 +164,31 @@ class TestMittagLeffler:
         for x in (30.0, 50.0, 100.0):
             assert mittag_leffler(p, -x) == pytest.approx(scipy.special.erfcx(x), rel=1e-12)
 
-    def test_integral_error_bound(self):
-        # below |z| = 1 each step of the recurrence multiplies the quadrature
-        # error by 1/|z|, here by 2**100 in all: no value is returned
-        with pytest.raises(MittagLefflerError):
-            _integral_negative(MLParams(0.01, 2.0), 0.5, 1e-15)
+    @pytest.mark.parametrize("alpha, beta, z", [(0.9, 2.0, -1e-4), (1.0, 2.0, -1e-12)])
+    def test_small_argument(self, alpha, beta, z):
+        # near z = 0 the value is 1/gamma(beta) plus a tiny correction that
+        # a contour integral cannot resolve to full relative accuracy
+        value = mittag_leffler(MLParams(alpha, beta), z)
+        assert value == pytest.approx(series_60_digits(alpha, beta, z), rel=1e-15, abs=0.0)
 
-    def test_non_convergence(self):
-        with pytest.raises(MittagLefflerError):
-            mittag_leffler(MLParams(1.0, 1.0), 5.0, max_terms=3)
+    @pytest.mark.parametrize("alpha, beta, z", [(1.0, 1.0, 800.0), (0.1, 2.0, 5.0)])
+    def test_overflow(self, alpha, beta, z):
+        # the values are about e^800 and e^(5^10)
+        with pytest.raises(MittagLefflerError, match="Mittag-Leffler"):
+            mittag_leffler(MLParams(alpha, beta), z)
+
+    def test_large_beta_against_laplace_inversion(self):
+        # beta >= 1.5 and |z| up to 1e3, where no series oracle converges and
+        # the contour often trades digits for nodes; oracle: mpmath's Talbot
+        # inversion of the Laplace transform s^(alpha-beta)/(s^alpha - z) at
+        # 50 digits
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            alpha = rng.uniform(0.01, 1.5)
+            beta = rng.uniform(1.5, 4.0)
+            z = -(10.0 ** rng.uniform(-0.3, 3.0))
+            value = mittag_leffler(MLParams(alpha, beta), z)
+            assert value == pytest.approx(talbot_50_digits(alpha, beta, z), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize(
         "alpha, beta, z",
@@ -216,3 +219,12 @@ def series_60_digits(alpha, beta, z):
             if j > 10 and abs(term) < mpmath.mpf(10) ** -70 * abs(total):
                 return float(total)
     raise AssertionError("oracle series did not converge")
+
+
+def talbot_50_digits(alpha, beta, z):
+    """E_{alpha,beta}(z) as the inverse Laplace transform of
+    s^(alpha-beta)/(s^alpha - z) at t = 1, by Talbot's method in 50-digit
+    arithmetic, with the double parameters taken exactly."""
+    with mpmath.workdps(50):
+        a, b, zz = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
+        return float(mpmath.invertlaplace(lambda s: s ** (a - b) / (s**a - zz), 1, method="talbot"))

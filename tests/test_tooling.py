@@ -1,7 +1,10 @@
 """The benchmark's tracer wraps fracvar callables by name; a renamed callable
-must fail here, not only in a benchmark run."""
+must fail here, not only in a benchmark run.  The CLI's imports stay within
+the runtime dependencies."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import fracvar.solver as solver
@@ -49,3 +52,11 @@ def test_tracer_resolves_every_name():
         "fracgrid.assemble_frac_operator",
     } <= names
     assert all(a is b for a, b in zip(current(), originals))
+
+
+def test_cli_import_set():
+    # mpmath and scipy.integrate serve the tests as oracles only; the CLI
+    # runs without them
+    code = "import sys, fracvar.cli; print(sorted({'mpmath', 'scipy.integrate'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
