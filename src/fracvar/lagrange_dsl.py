@@ -3,7 +3,9 @@
 Recursive-descent parser with the precedence chain
 ``^`` (right-associative) > unary minus > ``*``, ``/`` > ``+``, ``-``,
 plus exact symbolic differentiation in y and v with light simplification
-(constant folding and the x+0 / x*1 / x*0 family).
+(constant folding and the x+0 / x*1 / x*0 family).  One table entry per
+operator holds its numpy function, its domain tests and its derivative rule;
+evaluation and differentiation look operators up there.
 
 Here v stands for the combined derivative y' + k * D^alpha y; the grammar
 itself never sees alpha or k.
@@ -12,9 +14,10 @@ itself never sees alpha or k.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy import special as _sp
@@ -40,7 +43,6 @@ __all__ = [
 ]
 
 VARIABLES = ("t", "y", "v")
-FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "erfc")
 
 
 class Expr:
@@ -355,10 +357,80 @@ def _render(e: Expr, parent_prec: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the operator table
+
+@dataclass(frozen=True)
+class _Op:
+    """Everything about one operator: its numpy function of the evaluated
+    operands, its derivative rule (an expression built from the operands and
+    their derivatives, (u, du) or (a, b, da, db)), and its domain tests as
+    (predicate of the evaluated operands, message) pairs."""
+
+    fn: Callable
+    rule: Callable[..., Expr]
+    domain: tuple[tuple[Callable, str], ...] = ()
+
+
+def _diff_pow(a: Expr, b: Expr, da: Expr, db: Expr) -> Expr:
+    if isinstance(b, Const):
+        return mul(mul(b, pow_(a, _const(b.value - 1.0))), da)
+    # general u^w: u^w * (w' * log u + w * u' / u)
+    return mul(pow_(a, b), add(mul(db, func("log", a)), div(mul(b, da), a)))
+
+
+_UNARY = {
+    "neg": _Op(operator.neg, lambda u, d: neg(d)),
+    "exp": _Op(np.exp, lambda u, d: mul(d, func("exp", u))),
+    "log": _Op(np.log, lambda u, d: div(d, u), ((lambda u: u > 0.0, "log of nonpositive argument"),)),
+    "sqrt": _Op(
+        np.sqrt,
+        lambda u, d: div(d, mul(_const(2.0), func("sqrt", u))),
+        ((lambda u: u >= 0.0, "sqrt of negative argument"),),
+    ),
+    "sin": _Op(np.sin, lambda u, d: mul(d, func("cos", u))),
+    "cos": _Op(np.cos, lambda u, d: neg(mul(d, func("sin", u)))),
+    "erfc": _Op(_sp.erfc, lambda u, d: mul(_const(-2.0 / math.sqrt(math.pi)), mul(d, func("exp", neg(mul(u, u)))))),
+}
+
+_BINARY = {
+    "+": _Op(np.add, lambda a, b, da, db: add(da, db)),
+    "-": _Op(np.subtract, lambda a, b, da, db: sub(da, db)),
+    "*": _Op(np.multiply, lambda a, b, da, db: add(mul(da, b), mul(a, db))),
+    "/": _Op(
+        np.divide,
+        lambda a, b, da, db: div(sub(mul(da, b), mul(a, db)), mul(b, b)),
+        ((lambda a, b: b != 0.0, "division by zero"),),
+    ),
+    "^": _Op(
+        np.power,
+        _diff_pow,
+        (
+            (
+                lambda a, b: ~((np.asarray(a, dtype=float) < 0.0) & (b != np.floor(b))),
+                "negative base with non-integer exponent",
+            ),
+            (lambda a, b: ~((np.asarray(a, dtype=float) == 0.0) & (b < 0.0)), "zero base with negative exponent"),
+        ),
+    ),
+}
+
+FUNCTIONS = tuple(name for name in _UNARY if name != "neg")
+
+
+def _op(e: Unary | Binary) -> _Op:
+    table, kind = (_UNARY, "unary") if isinstance(e, Unary) else (_BINARY, "binary")
+    try:
+        return table[e.op]
+    except KeyError:
+        raise ValueError(f"unknown {kind} operator {e.op!r}") from None
+
+
+def _operands(e: Unary | Binary) -> tuple[Expr, ...]:
+    return (e.arg,) if isinstance(e, Unary) else (e.left, e.right)
+
+
+# ---------------------------------------------------------------------------
 # differentiation
-
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-
 
 def differentiate(e: Expr, var: str) -> Expr:
     """Exact symbolic partial derivative with respect to 'y' or 'v'."""
@@ -372,48 +444,9 @@ def _diff(e: Expr, var: str) -> Expr:
         return _const(0.0)
     if isinstance(e, Var):
         return _const(1.0 if e.name == var else 0.0)
-    if isinstance(e, Unary):
-        d = _diff(e.arg, var)
-        u = e.arg
-        if e.op == "neg":
-            return neg(d)
-        if e.op == "exp":
-            return mul(d, func("exp", u))
-        if e.op == "log":
-            return div(d, u)
-        if e.op == "sqrt":
-            return div(d, mul(_const(2.0), func("sqrt", u)))
-        if e.op == "sin":
-            return mul(d, func("cos", u))
-        if e.op == "cos":
-            return neg(mul(d, func("sin", u)))
-        if e.op == "erfc":
-            return mul(
-                _const(-_TWO_OVER_SQRT_PI),
-                mul(d, func("exp", neg(mul(u, u)))),
-            )
-        raise ValueError(f"unknown unary operator {e.op!r}")
-    assert isinstance(e, Binary)
-    da = _diff(e.left, var)
-    db = _diff(e.right, var)
-    a, b = e.left, e.right
-    if e.op == "+":
-        return add(da, db)
-    if e.op == "-":
-        return sub(da, db)
-    if e.op == "*":
-        return add(mul(da, b), mul(a, db))
-    if e.op == "/":
-        return div(sub(mul(da, b), mul(a, db)), mul(b, b))
-    if e.op == "^":
-        if isinstance(b, Const):
-            return mul(mul(b, pow_(a, _const(b.value - 1.0))), da)
-        # general u^w: u^w * (w' * log u + w * u' / u)
-        return mul(
-            pow_(a, b),
-            add(mul(db, func("log", a)), div(mul(b, da), a)),
-        )
-    raise ValueError(f"unknown binary operator {e.op!r}")
+    rule = _op(e).rule
+    args = _operands(e)
+    return rule(*args, *(_diff(x, var) for x in args))
 
 
 # ---------------------------------------------------------------------------
@@ -422,62 +455,18 @@ def _diff(e: Expr, var: str) -> Expr:
 ArrayLike = Union[float, np.ndarray]
 
 
-def _domain_check(ok: np.ndarray | bool, message: str, node: Expr) -> None:
-    ok_arr = np.asarray(ok)
-    if not bool(np.all(ok_arr)):
-        index = None
-        if ok_arr.ndim > 0:
-            index = int(np.argmin(ok_arr))
-        raise EvalDomainError(f"{message} in {to_str(node)!r}", node, index)
-
-
 def _eval(e: Expr, t: ArrayLike, y: ArrayLike, v: ArrayLike) -> ArrayLike:
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
         return {"t": t, "y": y, "v": v}[e.name]
-    if isinstance(e, Unary):
-        u = _eval(e.arg, t, y, v)
-        if e.op == "neg":
-            return -np.asarray(u) if isinstance(u, np.ndarray) else -u
-        if e.op == "exp":
-            return np.exp(u)
-        if e.op == "log":
-            _domain_check(np.asarray(u) > 0.0, "log of nonpositive argument", e)
-            return np.log(u)
-        if e.op == "sqrt":
-            _domain_check(np.asarray(u) >= 0.0, "sqrt of negative argument", e)
-            return np.sqrt(u)
-        if e.op == "sin":
-            return np.sin(u)
-        if e.op == "cos":
-            return np.cos(u)
-        if e.op == "erfc":
-            return _sp.erfc(u)
-        raise ValueError(f"unknown unary operator {e.op!r}")
-    assert isinstance(e, Binary)
-    a = _eval(e.left, t, y, v)
-    b = _eval(e.right, t, y, v)
-    if e.op == "+":
-        return np.add(a, b)
-    if e.op == "-":
-        return np.subtract(a, b)
-    if e.op == "*":
-        return np.multiply(a, b)
-    if e.op == "/":
-        _domain_check(np.asarray(b) != 0.0, "division by zero", e)
-        return np.divide(a, b)
-    if e.op == "^":
-        aa = np.asarray(a, dtype=float)
-        bb = np.asarray(b, dtype=float)
-        _domain_check(
-            ~((aa < 0.0) & (bb != np.floor(bb))),
-            "negative base with non-integer exponent",
-            e,
-        )
-        _domain_check(~((aa == 0.0) & (bb < 0.0)), "zero base with negative exponent", e)
-        return np.power(a, b)
-    raise ValueError(f"unknown binary operator {e.op!r}")
+    op = _op(e)
+    args = [_eval(x, t, y, v) for x in _operands(e)]
+    for test, message in op.domain:
+        ok = np.asarray(test(*args))
+        if not np.all(ok):
+            raise EvalDomainError(f"{message} in {to_str(e)!r}", e, int(np.argmin(ok)) if ok.ndim else None)
+    return op.fn(*args)
 
 
 def evaluate(e: Expr, t: float, y: float, v: float) -> float:
@@ -542,38 +531,13 @@ class Lagrangian:
 def _variables(e: Expr) -> set[str]:
     if isinstance(e, Var):
         return {e.name}
-    if isinstance(e, Unary):
-        return _variables(e.arg)
-    if isinstance(e, Binary):
-        return _variables(e.left) | _variables(e.right)
-    return set()
+    if isinstance(e, Const):
+        return set()
+    return set().union(*map(_variables, _operands(e)))
 
 
-class AugmentedLagrangian:
-    """H = F - lambda * G, exposing the same evaluation surface as Lagrangian."""
+class AugmentedLagrangian(Lagrangian):
+    """H = F - lambda * G as a Lagrangian of its own, with its own exact partials."""
 
     def __init__(self, f: Lagrangian, g: Lagrangian, lam: float):
-        self.f = f
-        self.g = g
-        self.lam = float(lam)
-
-    def _combine(self, fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
-        return fv - self.lam * gv
-
-    def value(self, t, y, v):
-        return self._combine(self.f.value(t, y, v), self.g.value(t, y, v))
-
-    def dy(self, t, y, v):
-        return self._combine(self.f.dy(t, y, v), self.g.dy(t, y, v))
-
-    def dv(self, t, y, v):
-        return self._combine(self.f.dv(t, y, v), self.g.dv(t, y, v))
-
-    def dyy(self, t, y, v):
-        return self._combine(self.f.dyy(t, y, v), self.g.dyy(t, y, v))
-
-    def dyv(self, t, y, v):
-        return self._combine(self.f.dyv(t, y, v), self.g.dyv(t, y, v))
-
-    def dvv(self, t, y, v):
-        return self._combine(self.f.dvv(t, y, v), self.g.dvv(t, y, v))
+        super().__init__(sub(f.f, mul(_const(lam), g.f)))

@@ -277,6 +277,66 @@ class TestDifferentiate:
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
+# Printed first partials of every function and binary operator, as the
+# derivative rules built them before the operators moved into one table: each
+# rule must still build the same tree, so every Hessian entry is unchanged.
+_PINNED_DERIVATIVES = [
+    ("exp(y*v)", "y", "v * exp(y * v)"),
+    ("exp(y*v)", "v", "y * exp(y * v)"),
+    ("log(y*v)", "y", "v / (y * v)"),
+    ("log(y*v)", "v", "y / (y * v)"),
+    ("sqrt(y*v)", "y", "v / (2.0 * sqrt(y * v))"),
+    ("sqrt(y*v)", "v", "y / (2.0 * sqrt(y * v))"),
+    ("sin(y*v)", "y", "v * cos(y * v)"),
+    ("sin(y*v)", "v", "y * cos(y * v)"),
+    ("cos(y*v)", "y", "-(v * sin(y * v))"),
+    ("cos(y*v)", "v", "-(y * sin(y * v))"),
+    ("erfc(y*v)", "y", "-1.1283791670955126 * (v * exp(-(y * v * (y * v))))"),
+    ("erfc(y*v)", "v", "-1.1283791670955126 * (y * exp(-(y * v * (y * v))))"),
+    ("y+v", "y", "1.0"),
+    ("y+v", "v", "1.0"),
+    ("y-v", "y", "1.0"),
+    ("y-v", "v", "-1.0"),
+    ("y*v", "y", "v"),
+    ("y*v", "v", "y"),
+    ("y/v", "y", "v / (v * v)"),
+    ("y/v", "v", "-y / (v * v)"),
+    ("y^3", "y", "3.0 * y^2.0"),
+    ("y^3", "v", "0.0"),
+    ("v^y", "y", "v^y * log(v)"),
+    ("v^y", "v", "v^y * (y / v)"),
+    ("-(y*v)", "y", "-v"),
+    ("-(y*v)", "v", "-y"),
+    ("2^v", "v", "2.0^v * log(2.0)"),
+    ("v^0.5", "v", "0.5 * v^(-0.5)"),
+    ("sqrt(1+v^2)", "v", "2.0 * v / (2.0 * sqrt(1.0 + v^2.0))"),
+    ("log(1+v^2)+y^2*t", "y", "2.0 * y * t"),
+    ("log(1+v^2)+y^2*t", "v", "2.0 * v / (1.0 + v^2.0)"),
+    ("erfc(v)/y", "y", "-erfc(v) / (y * y)"),
+    ("erfc(v)/y", "v", "-1.1283791670955126 * exp(-(v * v)) * y / (y * y)"),
+]
+
+
+class TestPinnedDerivatives:
+    @pytest.mark.parametrize("src,var,want", _PINNED_DERIVATIVES)
+    def test_printed_partial(self, src, var, want):
+        assert to_str(differentiate(parse(src), var)) == want
+
+    def test_every_operator_is_pinned(self):
+        sources = {src for src, _, _ in _PINNED_DERIVATIVES}
+        assert all(f"{name}(y*v)" in sources for name in dsl.FUNCTIONS)
+        assert all(f"y{op}v" in sources or f"v{op}y" in sources for op in "+-*/^")
+
+    @pytest.mark.parametrize("node", [Unary("tanh", Var("v")), Binary("%", Var("y"), Var("v"))])
+    def test_unknown_operator(self, node):
+        # Unary and Binary are public, so a hand-built node can name any operator
+        t = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(ValueError, match=repr(node.op)):
+            evaluate_many(node, t, t, t)
+        with pytest.raises(ValueError, match=repr(node.op)):
+            differentiate(node, "v")
+
+
 _SMOOTH_SOURCES = [
     "v^2",
     "v^2 - y^2",
@@ -385,3 +445,31 @@ class TestLagrangian:
         np.testing.assert_allclose(h.value(t, y, v), v**2 - 2.0 * v)
         np.testing.assert_allclose(h.dv(t, y, v), 2.0 * v - 2.0)
         np.testing.assert_allclose(h.dvv(t, y, v), 2.0)
+
+    def test_augmented_partials_are_f_minus_lambda_g(self):
+        # H = F - lam*G is one expression; each of its partials must equal the
+        # two partials combined, bit for bit
+        f = Lagrangian.parse("exp(v)*y + log(1+v^2)")
+        g = Lagrangian.parse("sin(y)*v^2")
+        lam = 1.7
+        h = AugmentedLagrangian(f, g, lam)
+        rng = np.random.default_rng(20)
+        t, y, v = rng.uniform(-2.0, 2.0, size=(3, 50))
+        for name in ("value", "dy", "dv", "dyy", "dyv", "dvv"):
+            want = getattr(f, name)(t, y, v) - lam * getattr(g, name)(t, y, v)
+            assert np.array_equal(getattr(h, name)(t, y, v), want), name
+        assert not h.quadratic and not h.affine
+
+    @pytest.mark.parametrize(
+        "f,g,quadratic,affine",
+        [
+            ("v^2 + y^2", "v", True, False),
+            ("v^2", "y*v", True, False),
+            ("v + t*y", "y", True, True),
+            ("v^2", "v^3", False, False),
+            ("v", "sin(y)", False, False),
+        ],
+    )
+    def test_augmented_structure(self, f, g, quadratic, affine):
+        h = AugmentedLagrangian(Lagrangian.parse(f), Lagrangian.parse(g), 0.5)
+        assert (h.quadratic, h.affine) == (quadratic, affine)
