@@ -12,7 +12,7 @@ exact and works when the Hessian is definite on the constraint's tangent
 space, or else a Levenberg shift mu*I, grown tenfold.  From the affine
 interpolant of the boundary values, steps backtrack on J (Armijo) or, with a
 constraint, on the KKT residual, until the residuals reach min(tol, 1e-12) or
-a full step changes J only by roundoff and no longer lowers them.
+a full step changes J only by roundoff and does not halve them.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def _newton_step(factor: tuple, sigma: float, cur: _Iterate) -> tuple[np.ndarray
 
 def _line_search(disc: Discretization, cur: _Iterate, dx: np.ndarray, dlam: float | None) -> _Iterate | None:
     """Backtrack from the full step; None when no step is accepted, or when a
-    full step changes J only by roundoff and does not lower the KKT max-norm:
+    full step changes J only by roundoff and does not halve the KKT max-norm:
     the roundoff floor, where further steps only creep."""
     slope = float(np.dot(cur.grad, dx))
     alpha = 1.0
@@ -194,7 +194,7 @@ def _line_search(disc: Discretization, cur: _Iterate, dx: np.ndarray, dlam: floa
             alpha *= 0.5
             continue
         flat = abs(trial.objective - cur.objective) <= 1e-12 * max(1.0, abs(cur.objective))
-        if alpha == 1.0 and flat and trial.kkt_max >= cur.kkt_max:
+        if alpha == 1.0 and flat and trial.kkt_max > 0.5 * cur.kkt_max:
             return None
         if dlam is None:
             # where J is flat at roundoff, a lower gradient is progress

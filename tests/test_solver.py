@@ -153,6 +153,18 @@ class TestUnconstrained:
         # one iteration cannot reach a 1e-14 gradient from the interpolant
         assert not sol.converged or sol.el_norm <= 1e-12
 
+    def test_roundoff_floor_stops(self):
+        # at the roundoff floor a full step that lowers the gradient only by
+        # noise used to be taken, at the cost of one more Hessian; here that
+        # gave 5 or 6 steps depending on yb
+        steps = set()
+        for yb in np.linspace(0.99, 1.01, 9):
+            p = Problem(Lagrangian.parse("v^4+y^2"), 0.7, FracOrder(0.3), Grid(0.0, 1.0, 1001), 0.0, float(yb))
+            sol = solve_unconstrained(p)
+            assert sol.converged
+            steps.add(sol.iterations)
+        assert steps == {5}
+
 
 class TestIsoperimetric:
     def test_rejects_unconstrained(self):
