@@ -3,7 +3,7 @@ functional and constraint values, the Euler-Lagrange residual, and the discrete
 gradient (first variation) with respect to interior node values.
 
 All of them, and the solver, go through one `Discretization` of the problem,
-built on one cached left GL matrix L per grid and order: v = D_c y + k L y
+built on the left GL matrix L of the last grid and order: v = D_c y + k L y
 with the boundary split, quadratures of the Lagrangian, and its gradient and
 Hessian through the dense M = D_c + k L, whose rows end two columns right of
 the diagonal.  The right operator is L's transpose.
@@ -18,6 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fracgrid import (
+    FracOperator,
     FracOrder,
     Grid,
     GridMismatchError,
@@ -101,19 +102,11 @@ class ELResidual:
 _HESSIAN_BLOCKS = 8
 
 
-class _DiscreteOps:
-    """Grid-level data shared by the variational operations: the nodes, the
-    quadrature weights and the left GL operator, whose transpose is the right one."""
-
-    def __init__(self, grid: Grid, order: FracOrder):
-        self.nodes = grid.nodes()
-        self.weights = variational_weights(grid)
-        self.left = assemble_frac_operator(grid, order, Side.LEFT)
-
-
-@lru_cache(maxsize=64)
-def discrete_operators(grid: Grid, order: FracOrder) -> _DiscreteOps:
-    return _DiscreteOps(grid, order)
+@lru_cache(maxsize=1)
+def discrete_operators(grid: Grid, order: FracOrder) -> FracOperator:
+    """The left GL operator, whose transpose is the right one, of the last
+    (grid, order) asked for: the cache keeps one n x n matrix, not one per grid."""
+    return assemble_frac_operator(grid, order, Side.LEFT)
 
 
 class Discretization:
@@ -122,8 +115,8 @@ class Discretization:
     with its gradient and Hessian in y."""
 
     def __init__(self, p: Problem):
-        ops = discrete_operators(p.grid, p.order)
-        self.p, self.t, self.w, self.left = p, ops.nodes, ops.weights, ops.left
+        self.p, self.t, self.w = p, p.grid.nodes(), variational_weights(p.grid)
+        self.left = discrete_operators(p.grid, p.order)
 
     def pieces(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """y' by the classical stencil and D^alpha y with the boundary split."""

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -87,6 +88,13 @@ class TestDiscreteOperators:
                 owner = value if value.base is None else value.base
                 owners[id(owner)] = owner
         assert sum(a.nbytes for a in owners.values()) <= 8 * n * n + 64 * n
+
+    def test_last_operator_only(self):
+        # a sweep over grids keeps no more than the last grid's n x n matrix
+        order = FracOrder(0.45)
+        first = weakref.ref(discrete_operators(Grid(0.0, 1.0, 41), order))
+        discrete_operators(Grid(0.0, 1.0, 43), order)
+        assert first() is None
 
     def test_stencil_columns(self):
         # M = D_c + k L, with D_c from the stencil of the identity
