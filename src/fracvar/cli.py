@@ -29,7 +29,6 @@ from .reference import ReferenceSpec, boundary_value, ml_convolution_extremal
 from .solver import (
     BracketFailureError,
     NoMinimizerError,
-    Solution,
     SolverOptions,
     solve_isoperimetric,
     solve_unconstrained,
@@ -152,13 +151,17 @@ def _solver_options(doc: dict) -> SolverOptions:
     return SolverOptions(**opts)
 
 
-def _write_solution_csv(path: Path, p: Problem, sol: Solution) -> None:
-    t = p.grid.nodes()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "y", "v", "el_residual"])
-        for row in zip(t, sol.y.values, sol.v.values, sol.residual.values.values):
-            writer.writerow(map(_fmt, row))
+def _csv_text(header: list[str], columns) -> str:
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write output file: {exc}") from exc
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -175,7 +178,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "converged": sol.converged,
     }
     out = Path(args.out) if args.out else Path(args.file).with_suffix(".out.csv")
-    _write_solution_csv(out, p, sol)
+    columns = (p.grid.nodes(), sol.y.values, sol.v.values, sol.residual.values.values)
+    _write_text(out, _csv_text(["t", "y", "v", "el_residual"], columns))
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK if sol.converged else EXIT_NOCONV
 
@@ -190,6 +194,7 @@ def _read_trajectory_csv(path: str, grid: Grid) -> SampledFunction:
         raise SchemaError(f"cannot read trajectory CSV: {exc}") from exc
     _require(len(header) >= 2 and header[0] == "t" and header[1] == "y", "CSV must have columns t,y")
     _require(len(rows) == grid.n, f"CSV has {len(rows)} rows but the grid has {grid.n} nodes")
+    _require(all(len(row) >= 2 for row in rows), "every CSV row must have a t and a y value")
     t = np.array([float(row[0]) for row in rows])
     y = np.array([float(row[1]) for row in rows])
     if not np.allclose(t, grid.nodes(), rtol=0.0, atol=1e-9 * max(1.0, abs(grid.b))):
@@ -223,13 +228,9 @@ def cmd_reference(args: argparse.Namespace) -> int:
         raise SchemaError("n must be >= 3")
     grid = Grid(0.0, args.b, args.n)
     spec = ReferenceSpec(k=args.k, order=FracOrder(args.alpha), xi=args.xi, grid=grid)
-    y = ml_convolution_extremal(spec)
-    t = grid.nodes()
-    lines = ["t,y"]
-    lines += [f"{_fmt(t[i])},{_fmt(y.values[i])}" for i in range(grid.n)]
-    text = "\n".join(lines) + "\n"
+    text = _csv_text(["t", "y"], (grid.nodes(), ml_convolution_extremal(spec).values))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(Path(args.out), text)
     else:
         sys.stdout.write(text)
     print(json.dumps({"boundary_value": boundary_value(spec)}, sort_keys=True))
@@ -237,10 +238,10 @@ def cmd_reference(args: argparse.Namespace) -> int:
 
 
 def cmd_convergence(args: argparse.Namespace) -> int:
-    if len(args.grids) < 2:
-        raise SchemaError("need at least 2 grid sizes")
-    doc = _load_problem_file(args.file)
     sizes = sorted(args.grids)
+    _require(len(sizes) >= 2, "need at least 2 grid sizes")
+    _require(len(set(sizes)) == len(sizes), "grid sizes must be distinct")
+    doc = _load_problem_file(args.file)
     opts = _solver_options(doc)
 
     solutions = {}
@@ -249,9 +250,11 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         sol = solve_isoperimetric(p, opts) if p.constrained else solve_unconstrained(p, opts)
         solutions[n] = (p, sol)
 
-    # the constrained quadratic family F = v^2, G = v has a semi-analytic
-    # reference; otherwise compare against the finest-grid solution
-    has_reference = p.grid.a == 0.0 and p.f.f == parse("v^2") and p.g is not None and p.g.f == parse("v")
+    # the reference extremal solves F = v^2, G = v from y(0) = 0 to its own
+    # y(b); otherwise compare against the finest-grid solution
+    has_reference = (
+        doc["ya"] == 0.0 and doc["yb"] == "auto-reference" and p.f.f == parse("v^2") and p.g.f == parse("v")
+    )
 
     entries = []
     if has_reference:

@@ -121,6 +121,13 @@ class TestSolve:
         assert digests[0] == digests[1]
 
 
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        path = write_problem(tmp_path, n=11)
+        code, out, err = run(capsys, "solve", path, "--out", tmp_path / "missing" / "sol.csv")
+        assert code == EXIT_SCHEMA
+        assert out == "" and err.startswith("error: cannot write") and err.count("\n") == 1
+
+
 class TestSchemaErrors:
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "solve", tmp_path / "absent.json")
@@ -288,6 +295,14 @@ class TestResidual:
         code, _, _ = run(capsys, "residual", path, "--y", out_csv)
         assert code == EXIT_SCHEMA
 
+    def test_row_without_y(self, tmp_path, capsys):
+        path = write_problem(tmp_path, k=0.0, n=3)
+        traj = tmp_path / "y.csv"
+        traj.write_text("t,y\n0,0\n0.5\n1,1\n", encoding="utf-8")
+        code, out, err = run(capsys, "residual", path, "--y", traj)
+        assert code == EXIT_SCHEMA
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
 
 class TestReference:
     def test_stdout_csv(self, capsys):
@@ -340,6 +355,12 @@ class TestReference:
         # oracle: the series of E_{0.001,2}(1) summed in 40-digit arithmetic
         assert float(row[1]) == pytest.approx(1181.8918785744083, rel=1e-12)
 
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "ref.csv"
+        code, _, err = run(capsys, "reference", "--k", 1, "--alpha", 0.5, "--xi", 1, "--n", 11, "--out", out)
+        assert code == EXIT_SCHEMA
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
     def test_overflow(self, capsys):
         # at t = 1 the value is about e^(5^10)
         code, out, err = run(capsys, "reference", "--alpha", 0.9, "--k", -5, "--xi", 1, "--n", 9)
@@ -387,3 +408,20 @@ class TestConvergence:
         path = write_problem(tmp_path)
         code, _, _ = run(capsys, "convergence", path, "--grids", 101)
         assert code == EXIT_SCHEMA
+
+    def test_repeated_grid_sizes(self, tmp_path, capsys):
+        path = write_problem(tmp_path)
+        code, out, err = run(capsys, "convergence", path, "--grids", 101, 101)
+        assert code == EXIT_SCHEMA
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("ya, yb", [(0.0, 2.0), (0.3, "auto-reference")])
+    def test_reference_needs_its_boundary_values(self, tmp_path, capsys, ya, yb):
+        # the reference extremal runs from y(0) = 0 to its own y(b); with other
+        # boundary values the finest grid is the reference, so its error is 0
+        path = write_problem(tmp_path, G="v", xi=1.0, ya=ya, yb=yb)
+        code, out, _ = run(capsys, "convergence", path, "--grids", 101, 201, 401)
+        assert code == EXIT_OK
+        report = json.loads(out.strip())
+        assert report["entries"][-1]["error"] == 0.0
+        assert all(order > 0.5 for order in report["orders"][:-1])
