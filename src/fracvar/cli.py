@@ -168,6 +168,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     doc = _load_problem_file(args.file, args.n)
     p = _build_problem(doc)
     opts = _solver_options(doc)
+    out = Path(args.out) if args.out else Path(args.file).with_suffix(".out.csv")
+    # fail before the solve, but create no file that a failed solve would leave
+    _require(out.parent.is_dir(), f"cannot write output file: no directory {str(out.parent)!r}")
     sol = solve_isoperimetric(p, opts) if p.constrained else solve_unconstrained(p, opts)
     summary = {
         "objective": sol.objective,
@@ -177,7 +180,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "iterations": sol.iterations,
         "converged": sol.converged,
     }
-    out = Path(args.out) if args.out else Path(args.file).with_suffix(".out.csv")
     columns = (p.grid.nodes(), sol.y.values, sol.v.values, sol.residual.values.values)
     _write_text(out, _csv_text(["t", "y", "v", "el_residual"], columns))
     print(json.dumps(summary, sort_keys=True))
@@ -188,10 +190,11 @@ def _read_trajectory_csv(path: str, grid: Grid) -> SampledFunction:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
             rows = [row for row in reader if row]
-    except (OSError, StopIteration) as exc:
+    except OSError as exc:
         raise SchemaError(f"cannot read trajectory CSV: {exc}") from exc
+    _require(header is not None, "trajectory CSV is empty")
     _require(len(header) >= 2 and header[0] == "t" and header[1] == "y", "CSV must have columns t,y")
     _require(len(rows) == grid.n, f"CSV has {len(rows)} rows but the grid has {grid.n} nodes")
     _require(all(len(row) >= 2 for row in rows), "every CSV row must have a t and a y value")

@@ -1,18 +1,17 @@
 """Direct-method solver: Newton's method on the interior node values.
 
-Each step factors the Hessian of H (F, or F - lambda*G with a constraint),
+Each step factors the Hessian K of H (F, or F - lambda*G with a constraint),
 built from the Lagrangian's exact second partials, by Cholesky; when F is
-quadratic and G affine that Hessian is the same at every iterate and is
-built and factored once per solve.  With a
-constraint the same factor gives the bordered KKT step on (nodes, lambda)
-through a scalar Schur complement, so the quadratic family F = v^2, G = v is
-one linear solve.  A Hessian that is not positive definite is made so by
-adding sigma*a*a^T (a the constraint gradient), which leaves the KKT step
-exact and works when the Hessian is definite on the constraint's tangent
-space, or else a Levenberg shift mu*I, grown tenfold.  From the affine
-interpolant of the boundary values, steps backtrack on J (Armijo) or, with a
-constraint, on the KKT residual, until the residuals reach min(tol, 1e-12) or
-a full step changes J only by roundoff and does not halve them.
+quadratic and G affine, K is the same at every iterate and is built and
+factored once per solve.  With a constraint, K is factored on the
+constraint's tangent space, and the KKT step on (nodes, lambda) is a move
+along the constraint gradient that meets the linearized constraint plus a
+tangent solve, so the quadratic family F = v^2, G = v is one linear solve.
+A factored matrix that is not positive definite gets a Levenberg shift mu*I,
+grown tenfold, on the tangent part only.  From the affine interpolant of the
+boundary values, steps backtrack on J (Armijo) or, with a constraint, on the
+KKT residual, until the residuals reach min(tol, 1e-12) or a full step
+changes J only by roundoff and does not halve them.
 """
 
 from __future__ import annotations
@@ -40,20 +39,20 @@ __all__ = [
 
 
 class BracketFailureError(RuntimeError):
-    """The bordered KKT system is singular (the constraint gradient vanishes),
-    or the final multiplier lies outside `lambda_bracket`.
+    """The constraint gradient grad I vanishes at an iterate, or the final
+    multiplier lies outside `lambda_bracket`.
 
-    A singular bordering is the abnormal extremal of the isoperimetric
-    theorem: an extremal of the constraint functional itself, which has no
-    multiplier.  The CLI maps it to exit code 3.
+    grad I = 0 is the abnormal extremal of the isoperimetric theorem: an
+    extremal of the constraint functional itself, which has no multiplier.
+    The CLI maps it to exit code 3.
     """
 
 
 class NoMinimizerError(RuntimeError):
     """The discrete Legendre/Jacobi condition fails where that is proof: the
-    Hessian is indefinite and J quadratic (so unbounded below), or, on the
-    constraint's tangent space if any, at the stationary point reached (a
-    saddle).  The CLI maps it to exit code 3."""
+    Hessian, on the constraint's tangent space if any, is indefinite and J
+    quadratic on an affine constraint set (so unbounded below), or at the
+    stationary point reached (a saddle).  The CLI maps it to exit code 3."""
 
 
 def _finite(x) -> bool:
@@ -128,57 +127,49 @@ def _evaluate(disc: Discretization, x: np.ndarray, lam: float | None) -> _Iterat
     return _Iterate(x, lam, y, v, objective, grad - lam * grad_i, grad_i, disc.value(p.g, y, v) - p.xi)
 
 
-def _factor(hess: np.ndarray, a: np.ndarray | None) -> tuple[tuple, float, bool]:
-    """Cholesky factor of hess, else of hess + sigma*a*a^T with the least sigma in
-    {sigma0 * 10^j, j <= 8}, else of hess + mu*I with the least mu in {mu0 * 10^j}.
-    sigma*a*a^T leaves the bordered KKT step exact (see _newton_step) and works
-    when hess is definite orthogonally to a; mu*I changes the step.  Returns the
-    factor, sigma, and whether hess is indefinite: mu0 = 1e-8 max|diag| did not
-    suffice (it only covers a singular positive semidefinite hess)."""
+def _factor(hess: np.ndarray, grad_i: np.ndarray | None) -> tuple[tuple, bool]:
+    """Cholesky factor of hess or, with a constraint, of hess on its tangent
+    space: with u = grad_i/|grad_i|, P = I - u u^T, w = hess u and scale =
+    max|diag hess|, of B = P hess P + scale u u^T = hess - u z^T - z u^T,
+    z = w - ((scale + u^T w)/2) u, positive definite exactly when hess is on
+    that space; B + mu*I with the least mu in {0} and {mu0 * 10^j} shifts only
+    the tangent part.  Returns the factor with u, w and |grad_i|, and whether B
+    is indefinite: mu0 = 1e-8 scale did not suffice (it only covers B >= 0)."""
     scale = max(float(np.max(np.abs(np.diag(hess)))), np.finfo(float).tiny)
-    a_sq = 0.0 if a is None else float(np.dot(a, a))
     mu0 = 1e-8 * scale
-    tries = [(0.0, 0.0)] + [(scale / a_sq * 10.0**j, 0.0) for j in range(9) if a_sq > 0.0]
-    for sigma, mu in itertools.chain(tries, ((0.0, mu0 * 10.0**j) for j in itertools.count())):
+    u = w = a_norm = None
+    if grad_i is not None:
+        a_norm = float(np.linalg.norm(grad_i))
+        if not a_norm > 0.0:
+            raise BracketFailureError("constraint gradient vanishes: abnormal extremal, no multiplier")
+        u = grad_i / a_norm
+        w = hess @ u
+        z = w - 0.5 * (scale + float(np.dot(u, w))) * u  # B conditioned like hess along u too
+    for mu in itertools.chain([0.0], (mu0 * 10.0**j for j in itertools.count())):
         shifted = hess.copy(order="F")  # the layout LAPACK factors in place
-        if sigma:
-            shifted += np.outer(a, sigma * a)
+        if u is not None:  # B's upper triangle, the only one cho_factor reads
+            shifted = scipy.linalg.blas.dsyr2(-1.0, u, z, a=shifted, overwrite_a=True)
         shifted[np.diag_indices_from(hess)] += mu
         try:
-            return scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False), sigma, mu > mu0
+            return (scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False), u, w, a_norm), mu > mu0
         except scipy.linalg.LinAlgError:
             pass
 
 
-def _tangent_definite(hess: np.ndarray, grad_i: np.ndarray) -> bool:
-    """Whether hess is positive definite orthogonally to grad_i: with u = grad_i/|grad_i|
-    and P = I - u u^T, P hess P + u u^T has the reduced Hessian's eigenvalues and 1.
-    With w = hess u and c = 1 + u^T w, that matrix is the rank-two update
-    hess - u z^T - z u^T of hess, z = w - (c/2) u."""
-    u = grad_i / np.linalg.norm(grad_i)
-    w = hess @ u
-    z = w - 0.5 * (1.0 + float(np.dot(u, w))) * u
-    reduced = hess - np.outer(u, z)
-    reduced -= np.outer(z, u)
-    return bool(np.linalg.eigvalsh(reduced)[0] > 0.0)
-
-
-def _newton_step(factor: tuple, sigma: float, cur: _Iterate) -> tuple[np.ndarray, float | None]:
-    """Newton step on x, or the bordered KKT step on (x, lam): with K the
-    Hessian and a = grad I, [[K, -a], [-a^T, 0]] (dx, dlam) = -(grad H, I - xi).
-    The factored matrix is K~ = K + sigma*a*a^T; since a^T dx = xi - I, the
-    system is [[K~, -a], [-a^T, 0]] (dx, dlam - sigma*(I - xi)) = -(grad H, I - xi),
-    two solves with K~ and the Schur complement a^T K~^-1 a."""
-    k_grad = scipy.linalg.cho_solve(factor, cur.grad, check_finite=False)
-    if cur.lam is None:
-        return -k_grad, None
-    a = cur.grad_i
-    k_a = scipy.linalg.cho_solve(factor, a, check_finite=False)
-    s = float(np.dot(a, k_a))
-    if not s > 1e-12 * float(np.linalg.norm(a)) * float(np.linalg.norm(k_a)):
-        raise BracketFailureError("singular bordered KKT system: abnormal extremal, no multiplier")
-    dlam = (float(np.dot(a, k_grad)) - cur.constraint) / s
-    return dlam * k_a - k_grad, dlam + sigma * cur.constraint
+def _newton_step(factor: tuple, cur: _Iterate) -> tuple[np.ndarray, float | None]:
+    """Newton step on x, or the KKT step on (x, lam): with K the Hessian and
+    a = grad I, [[K, -a], [-a^T, 0]] (dx, dlam) = -(grad H, I - xi).  For
+    dx = s u + t, t orthogonal to u = a/|a|, the last row gives s = (xi - I)/|a|;
+    with r = grad H + s K u, the first row's tangent part gives t = -B^-1 P r
+    and its u part dlam = (u^T r + (K u)^T t)/|a|."""
+    chol, u, w, a_norm = factor
+    if u is None:
+        return -scipy.linalg.cho_solve(chol, cur.grad, check_finite=False), None
+    s = -cur.constraint / a_norm
+    r = cur.grad + s * w
+    ur = float(np.dot(u, r))
+    t = -scipy.linalg.cho_solve(chol, r - ur * u, check_finite=False)
+    return s * u + t, (ur + float(np.dot(w, t))) / a_norm
 
 
 def _line_search(disc: Discretization, cur: _Iterate, dx: np.ndarray, dlam: float | None) -> _Iterate | None:
@@ -197,13 +188,11 @@ def _line_search(disc: Discretization, cur: _Iterate, dx: np.ndarray, dlam: floa
         if alpha == 1.0 and flat and trial.kkt_max > 0.5 * cur.kkt_max:
             return None
         if dlam is None:
-            # where J is flat at roundoff, a lower gradient is progress
-            accepted = trial.objective <= cur.objective + 1e-4 * alpha * slope or (
-                flat and trial.gmax < cur.gmax
-            )
+            accepted = trial.objective <= cur.objective + 1e-4 * alpha * slope
         else:
             accepted = trial.kkt_l2 <= (1.0 - 1e-4 * alpha) * cur.kkt_l2
-        if accepted:
+        # where J is flat at roundoff, a lower KKT max-norm is progress
+        if accepted or (flat and trial.kkt_max < cur.kkt_max):
             return trial
         alpha *= 0.5
     return None
@@ -224,19 +213,17 @@ def _newton(p: Problem, opts: SolverOptions) -> tuple[_Iterate, int]:
     while True:
         if factor is None:
             lagr = p.f if cur.lam is None else AugmentedLagrangian(p.f, p.g, cur.lam)
-            hess = disc.hessian(lagr, cur.y, cur.v)
-            factor, sigma, indefinite = _factor(hess, cur.grad_i)
-            # a quadratic J has this Hessian everywhere: indefinite, it is unbounded below
-            if indefinite and cur.lam is None and p.f.quadratic:
+            factor, indefinite = _factor(disc.hessian(lagr, cur.y, cur.v), cur.grad_i)
+            if indefinite and constant:
                 raise NoMinimizerError("no minimizer: Hessian indefinite, and J is quadratic, so unbounded below")
         if iters == opts.max_iters or (cur.gmax <= grad_target and abs(cur.constraint) <= constraint_target):
             break
-        dx, dlam = _newton_step(factor, sigma, cur)
+        dx, dlam = _newton_step(factor, cur)
         nxt = _line_search(disc, cur, dx, dlam)
         if nxt is None:
             break
         if not constant:
-            hess = factor = None  # not held while the next Hessian is built
+            factor = None  # not held while the next Hessian is built
         cur = nxt
         iters += 1
     if cur.lam is not None and not lo <= cur.lam <= hi:
@@ -244,7 +231,7 @@ def _newton(p: Problem, opts: SolverOptions) -> tuple[_Iterate, int]:
     # a stationary point at which the Hessian (on the constraint's tangent
     # space) is indefinite is a saddle, not a minimizer
     stationary = cur.gmax <= opts.grad_tol and abs(cur.constraint) <= opts.constraint_tol
-    if stationary and indefinite and (cur.grad_i is None or not _tangent_definite(hess, cur.grad_i)):
+    if stationary and indefinite:
         raise NoMinimizerError("no minimizer: Hessian indefinite at the stationary point reached")
     return cur, iters
 

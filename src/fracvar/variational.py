@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -102,11 +102,20 @@ class ELResidual:
 _HESSIAN_BLOCKS = 8
 
 
-@lru_cache(maxsize=1)
+_last_operator: dict[tuple[Grid, FracOrder], FracOperator] = {}
+
+
 def discrete_operators(grid: Grid, order: FracOrder) -> FracOperator:
     """The left GL operator, whose transpose is the right one, of the last
-    (grid, order) asked for: the cache keeps one n x n matrix, not one per grid."""
-    return assemble_frac_operator(grid, order, Side.LEFT)
+    (grid, order) asked for: the cache keeps one n x n matrix, not one per
+    grid, and drops it before assembling another, so two are never held."""
+    if (grid, order) not in _last_operator:
+        _last_operator.clear()
+        _last_operator[grid, order] = assemble_frac_operator(grid, order, Side.LEFT)
+    return _last_operator[grid, order]
+
+
+discrete_operators.cache_clear = _last_operator.clear
 
 
 class Discretization:

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+import fracvar.cli
 import fracvar.variational
 from fracvar.cli import EXIT_DOMAIN, EXIT_NOCONV, EXIT_OK, EXIT_SCHEMA, main
 
@@ -127,6 +128,17 @@ class TestSolve:
         assert code == EXIT_SCHEMA
         assert out == "" and err.startswith("error: cannot write") and err.count("\n") == 1
 
+    def test_out_in_missing_directory_before_solving(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("solved although the output cannot be written")
+
+        monkeypatch.setattr(fracvar.cli, "solve_unconstrained", never)
+        path = write_problem(tmp_path, n=11)
+        code, out, err = run(capsys, "solve", path, "--out", tmp_path / "missing" / "sol.csv")
+        assert code == EXIT_SCHEMA
+        assert out == "" and err.startswith("error: cannot write output file") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
 
 class TestSchemaErrors:
     def test_missing_file(self, tmp_path, capsys):
@@ -156,6 +168,12 @@ class TestSchemaErrors:
         code, _, err = run(capsys, "solve", path)
         assert code == EXIT_SCHEMA
         assert "offset" in err
+
+    def test_constraint_syntax_error(self, tmp_path, capsys):
+        path = write_problem(tmp_path, G="y^^2", xi=1.0)
+        code, out, err = run(capsys, "solve", path)
+        assert code == EXIT_SCHEMA
+        assert out == "" and err.startswith('error: key "G"') and err.count("\n") == 1
 
     def test_constraint_pairing(self, tmp_path, capsys):
         path = write_problem(tmp_path, G="v")
@@ -208,7 +226,10 @@ class TestNonFiniteInputs:
         assert out == ""
         assert '"xi"' in err
 
-    @pytest.mark.parametrize("key, value", [("k", math.inf), ("b", math.inf), ("a", -math.inf)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("k", math.inf), ("b", math.inf), ("a", -math.inf), pytest.param("k", 10**400, id="k-10**400")],
+    )
     def test_infinite_number(self, tmp_path, capsys, key, value):
         path = write_problem(tmp_path, **{key: value})
         code, _, err = run(capsys, "solve", path)
@@ -303,6 +324,20 @@ class TestResidual:
         assert code == EXIT_SCHEMA
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "trajectory CSV is empty"), ("t,y\n0,0\n0.6,0.5\n1,1\n", "t column does not match")],
+        ids=["empty", "off-grid"],
+    )
+    def test_unusable_trajectory_csv(self, tmp_path, capsys, text, message):
+        path = write_problem(tmp_path, k=0.0, n=3)
+        traj = tmp_path / "y.csv"
+        traj.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "residual", path, "--y", traj)
+        assert code == EXIT_SCHEMA
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
 
 class TestReference:
     def test_stdout_csv(self, capsys):
@@ -331,6 +366,11 @@ class TestReference:
             capsys, "reference", "--k", 1.0, "--alpha", 2.0, "--xi", 1.0, "--n", 11
         )
         assert code == EXIT_SCHEMA
+
+    def test_too_few_nodes(self, capsys):
+        code, out, err = run(capsys, "reference", "--k", 1.0, "--alpha", 0.5, "--xi", 1.0, "--n", 2)
+        assert code == EXIT_SCHEMA
+        assert out == "" and err.startswith("error: n must be >= 3") and err.count("\n") == 1
 
     def test_positive_argument_peak_past_256_terms(self, capsys):
         # k < 0 makes the Mittag-Leffler argument positive; at t = 0.3 it is

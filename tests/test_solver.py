@@ -1,9 +1,11 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import fracvar.solver
 from fracvar.fracgrid import FracOrder, Grid
 from fracvar.lagrange_dsl import Lagrangian
 from fracvar.reference import ReferenceSpec, boundary_value, ml_convolution_extremal
@@ -12,7 +14,7 @@ from fracvar.solver import (
     NoMinimizerError,
     Solution,
     SolverOptions,
-    _tangent_definite,
+    _factor,
     solve_isoperimetric,
     solve_unconstrained,
 )
@@ -165,6 +167,28 @@ class TestUnconstrained:
             steps.add(sol.iterations)
         assert steps == {5}
 
+    def test_overflowing_trial_points_rejected(self, monkeypatch):
+        # full steps toward yb = -20 overflow exp(y); such trial points are
+        # rejected steps, never a warning or an error
+        rejected = []
+        evaluate = fracvar.solver._evaluate
+
+        def counted(*args):
+            try:
+                return evaluate(*args)
+            except ArithmeticError:
+                rejected.append(args[1])
+                raise
+
+        monkeypatch.setattr(fracvar.solver, "_evaluate", counted)
+        p = Problem(Lagrangian.parse("sqrt(1+v^2)+exp(y)"), 0.7, FracOrder(0.3), Grid(0.0, 1.0, 51), 0.0, -20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_unconstrained(p)
+        assert sol.converged
+        assert rejected
+        assert np.max(np.abs(discrete_gradient(p, sol.y))) <= 1e-9
+
 
 class TestIsoperimetric:
     def test_rejects_unconstrained(self):
@@ -264,6 +288,36 @@ class TestIsoperimetric:
         # the multiplier-search solver's value, which met the constraint to 7e-10
         assert sol.lam == pytest.approx(15.919790187215412, rel=1e-9)
 
+    @staticmethod
+    def squared_constraint_problem(xi, n):
+        return Problem(V2, 1.0, FracOrder(0.5), Grid(0.0, 1.0, n), 0.0, 1.0, Lagrangian.parse("y^2"), xi)
+
+    def test_indefinite_off_the_tangent_space(self):
+        # the first step lands at lambda = 101.5, where F - lambda*G is
+        # indefinite on the constraint's tangent space; shifting all of the
+        # Hessian there also bent the multiplier step, and every backtrack failed
+        p = self.squared_constraint_problem(40.0, 601)
+        sol = solve_isoperimetric(p)
+        assert sol.converged
+        assert abs(constraint_value(p, sol.y) - 40.0) <= 1e-9
+        assert np.max(np.abs(discrete_gradient(p, sol.y, lam=sol.lam))) <= 1e-9
+
+    def test_roundoff_floor_stops(self):
+        # at the roundoff floor the KKT 2-norm is noise summed over the nodes:
+        # a full step that lowers the max-norm below the target was rejected
+        # on it, and null backtracked steps ran to the cap
+        sol = solve_isoperimetric(self.squared_constraint_problem(10.0, 1001), SolverOptions(max_iters=20))
+        assert sol.converged
+        assert sol.iterations <= 10
+
+    def test_unbounded_on_constraint_set(self):
+        # int y = 0.3 is an affine set on which the quadratic J has the
+        # indefinite Hessian of v^2 - 100*y^2 everywhere
+        f, g = Lagrangian.parse("v^2 - 100*y^2"), Lagrangian.parse("y")
+        p = Problem(f, 1.0, FracOrder(0.5), Grid(0.0, 1.0, 201), 0.0, 1.0, g, 0.3)
+        with pytest.raises(NoMinimizerError):
+            solve_isoperimetric(p)
+
     def test_multiplier_outside_bracket(self):
         grid = Grid(0.0, 1.0, 101)
         spec = ReferenceSpec(k=1.0, order=FracOrder(0.5), xi=1.0, grid=grid)
@@ -302,7 +356,8 @@ def test_tangent_definite_matches_null_space(seed, margin):
     hess = b + b.T
     hess += (margin - np.linalg.eigvalsh(basis.T @ hess @ basis)[0]) * np.eye(n)
     assert np.linalg.eigvalsh(basis.T @ hess @ basis)[0] == pytest.approx(margin, abs=1e-10)
-    assert _tangent_definite(hess, a) == (margin > 0.0)
+    # the factor's indefinite flag: the tangent-space matrix needed a real shift
+    assert _factor(hess, a)[1] == (margin < 0.0)
 
 
 class TestHessianReuse:

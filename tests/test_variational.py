@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+import fracvar.variational
 from fracvar.fracgrid import (
     FracOperator,
     FracOrder,
@@ -95,6 +96,21 @@ class TestDiscreteOperators:
         first = weakref.ref(discrete_operators(Grid(0.0, 1.0, 41), order))
         discrete_operators(Grid(0.0, 1.0, 43), order)
         assert first() is None
+
+    def test_last_operator_dropped_before_next_assembly(self, monkeypatch):
+        # the peak of a sweep over grids holds one n x n matrix, not two
+        order = FracOrder(0.45)
+        discrete_operators.cache_clear()
+        first = weakref.ref(discrete_operators(Grid(0.0, 1.0, 41), order))
+        alive = []
+
+        def recording(*args):
+            alive.append(first() is not None)
+            return assemble_frac_operator(*args)
+
+        monkeypatch.setattr(fracvar.variational, "assemble_frac_operator", recording)
+        discrete_operators(Grid(0.0, 1.0, 43), order)
+        assert alive == [False]
 
     def test_stencil_columns(self):
         # M = D_c + k L, with D_c from the stencil of the identity
