@@ -41,9 +41,7 @@ EXIT_SCHEMA = 2
 EXIT_NOCONV = 3
 EXIT_DOMAIN = 4
 
-# accepted so that older problem files still parse; nothing reads them
-_IGNORED_SOLVER_KEYS = ("line_search", "memory")
-_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverOptions)} | set(_IGNORED_SOLVER_KEYS)
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverOptions)}
 
 
 class SchemaError(ValueError):
@@ -143,17 +141,20 @@ def _build_problem(doc: dict) -> Problem:
 
 
 def _solver_options(doc: dict) -> SolverOptions:
-    opts = dict(doc.get("solver", {}))
-    for key in _IGNORED_SOLVER_KEYS:
-        if key in opts:
-            del opts[key]
-            print(f'note: solver option "{key}" is ignored', file=sys.stderr)
-    return SolverOptions(**opts)
+    return SolverOptions(**doc.get("solver", {}))
 
 
 def _csv_text(header: list[str], columns) -> str:
     lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
+
+
+def _output_path(path: str | Path) -> Path:
+    """Check the output's directory before any work is done, but create no
+    file that a failed run would leave."""
+    out = Path(path)
+    _require(out.parent.is_dir(), f"cannot write output file: no directory {str(out.parent)!r}")
+    return out
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -168,9 +169,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     doc = _load_problem_file(args.file, args.n)
     p = _build_problem(doc)
     opts = _solver_options(doc)
-    out = Path(args.out) if args.out else Path(args.file).with_suffix(".out.csv")
-    # fail before the solve, but create no file that a failed solve would leave
-    _require(out.parent.is_dir(), f"cannot write output file: no directory {str(out.parent)!r}")
+    out = _output_path(args.out or Path(args.file).with_suffix(".out.csv"))
     sol = solve_isoperimetric(p, opts) if p.constrained else solve_unconstrained(p, opts)
     summary = {
         "objective": sol.objective,
@@ -210,8 +209,10 @@ def cmd_residual(args: argparse.Namespace) -> int:
     p = _build_problem(doc)
     if p.constrained and args.lam is None:
         raise SchemaError("problem has a constraint; supply --lambda")
+    _require(args.lam is None or math.isfinite(args.lam), "--lambda must be a finite number")
     y = _read_trajectory_csv(args.y, p.grid)
-    res = el_residual(p, y, args.lam if p.constrained else None)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        res = el_residual(p, y, args.lam if p.constrained else None)
     print(
         json.dumps(
             {
@@ -229,11 +230,12 @@ def cmd_reference(args: argparse.Namespace) -> int:
         raise SchemaError("alpha must lie in the open interval (0, 1)")
     if args.n < 3:
         raise SchemaError("n must be >= 3")
+    out = _output_path(args.out) if args.out else None
     grid = Grid(0.0, args.b, args.n)
     spec = ReferenceSpec(k=args.k, order=FracOrder(args.alpha), xi=args.xi, grid=grid)
     text = _csv_text(["t", "y"], (grid.nodes(), ml_convolution_extremal(spec).values))
-    if args.out:
-        _write_text(Path(args.out), text)
+    if out is not None:
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
     print(json.dumps({"boundary_value": boundary_value(spec)}, sort_keys=True))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -87,10 +86,6 @@ class SampledFunction:
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> "SampledFunction":
-        return cls(grid, np.asarray(fn(grid.nodes()), dtype=float))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy import special as _sp
+
+from . import special
 
 __all__ = [
     "Expr",
@@ -389,7 +390,10 @@ _UNARY = {
     ),
     "sin": _Op(np.sin, lambda u, d: mul(d, func("cos", u))),
     "cos": _Op(np.cos, lambda u, d: neg(mul(d, func("sin", u)))),
-    "erfc": _Op(_sp.erfc, lambda u, d: mul(_const(-2.0 / math.sqrt(math.pi)), mul(d, func("exp", neg(mul(u, u)))))),
+    "erfc": _Op(
+        np.vectorize(special.erfc, otypes=[float]),
+        lambda u, d: mul(_const(-2.0 / math.sqrt(math.pi)), mul(d, func("exp", neg(mul(u, u))))),
+    ),
 }
 
 _BINARY = {

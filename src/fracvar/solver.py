@@ -39,12 +39,10 @@ __all__ = [
 
 
 class BracketFailureError(RuntimeError):
-    """The constraint gradient grad I vanishes at an iterate, or the final
-    multiplier lies outside `lambda_bracket`.
-
-    grad I = 0 is the abnormal extremal of the isoperimetric theorem: an
-    extremal of the constraint functional itself, which has no multiplier.
-    The CLI maps it to exit code 3.
+    """The constraint gradient grad I vanishes at an iterate: the abnormal
+    extremal of the isoperimetric theorem, an extremal of the constraint
+    functional itself, which has no multiplier.  The CLI maps it to exit
+    code 3.
     """
 
 
@@ -56,7 +54,10 @@ class NoMinimizerError(RuntimeError):
 
 
 def _finite(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer beyond double precision
+        return False
 
 
 @dataclass
@@ -64,7 +65,6 @@ class SolverOptions:
     max_iters: int = 500
     grad_tol: float = 1e-9
     constraint_tol: float = 1e-9
-    lambda_bracket: tuple[float, float] = (-1e6, 1e6)
 
     def __post_init__(self) -> None:
         m = self.max_iters
@@ -73,10 +73,6 @@ class SolverOptions:
         self.max_iters = int(m)
         if not all(_finite(tol) and tol > 0.0 for tol in (self.grad_tol, self.constraint_tol)):
             raise ValueError("tolerances must be positive finite numbers")
-        b = self.lambda_bracket
-        if not (isinstance(b, (list, tuple)) and len(b) == 2 and all(map(_finite, b)) and b[0] < b[1]):
-            raise ValueError("lambda_bracket must be two finite numbers [lo, hi] with lo < hi")
-        self.lambda_bracket = (float(b[0]), float(b[1]))
 
 
 @dataclass
@@ -130,12 +126,13 @@ def _evaluate(disc: Discretization, x: np.ndarray, lam: float | None) -> _Iterat
 def _factor(hess: np.ndarray, grad_i: np.ndarray | None) -> tuple[tuple, bool]:
     """Cholesky factor of hess or, with a constraint, of hess on its tangent
     space: with u = grad_i/|grad_i|, P = I - u u^T, w = hess u and scale =
-    max|diag hess|, of B = P hess P + scale u u^T = hess - u z^T - z u^T,
+    max|hess_ij|, of B = P hess P + scale u u^T = hess - u z^T - z u^T,
     z = w - ((scale + u^T w)/2) u, positive definite exactly when hess is on
     that space; B + mu*I with the least mu in {0} and {mu0 * 10^j} shifts only
-    the tangent part.  Returns the factor with u, w and |grad_i|, and whether B
-    is indefinite: mu0 = 1e-8 scale did not suffice (it only covers B >= 0)."""
-    scale = max(float(np.max(np.abs(np.diag(hess)))), np.finfo(float).tiny)
+    the tangent part, and |B| <= (n + 1) scale ends the ladder.  Returns the
+    factor with u, w and |grad_i|, and whether B is indefinite: mu0 = 1e-8
+    scale did not suffice (it only covers B >= 0)."""
+    scale = max(float(hess.max()), -float(hess.min()), np.finfo(float).tiny)
     mu0 = 1e-8 * scale
     u = w = a_norm = None
     if grad_i is not None:
@@ -153,7 +150,7 @@ def _factor(hess: np.ndarray, grad_i: np.ndarray | None) -> tuple[tuple, bool]:
         try:
             return (scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False), u, w, a_norm), mu > mu0
         except scipy.linalg.LinAlgError:
-            pass
+            del shifted  # not held while the next try's copy is made
 
 
 def _newton_step(factor: tuple, cur: _Iterate) -> tuple[np.ndarray, float | None]:
@@ -201,8 +198,7 @@ def _line_search(disc: Discretization, cur: _Iterate, dx: np.ndarray, dlam: floa
 def _newton(p: Problem, opts: SolverOptions) -> tuple[_Iterate, int]:
     disc = Discretization(p)
     x0 = (p.ya + (p.yb - p.ya) * (disc.t - p.grid.a) / (p.grid.b - p.grid.a))[1:-1]
-    lo, hi = opts.lambda_bracket
-    cur = _evaluate(disc, x0, min(max(0.0, lo), hi) if p.constrained else None)
+    cur = _evaluate(disc, x0, 0.0 if p.constrained else None)
     grad_target = min(opts.grad_tol, 1e-12)
     constraint_target = min(opts.constraint_tol, 1e-12)
     # with F quadratic and G affine the Hessian of F - lambda*G is that of F at
@@ -226,8 +222,6 @@ def _newton(p: Problem, opts: SolverOptions) -> tuple[_Iterate, int]:
             factor = None  # not held while the next Hessian is built
         cur = nxt
         iters += 1
-    if cur.lam is not None and not lo <= cur.lam <= hi:
-        raise BracketFailureError(f"multiplier {cur.lam!r} outside lambda_bracket [{lo!r}, {hi!r}]")
     # a stationary point at which the Hessian (on the constraint's tangent
     # space) is indefinite is a saddle, not a minimizer
     stationary = cur.gmax <= opts.grad_tol and abs(cur.constraint) <= opts.constraint_tol

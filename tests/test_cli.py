@@ -93,13 +93,13 @@ class TestSolve:
         assert caught == []
 
     def test_ignored_solver_keys(self, tmp_path, capsys):
-        path = write_problem(
-            tmp_path, k=0.0, solver={"memory": 10, "line_search": "backtracking-armijo"}
-        )
-        code, _, err = run(capsys, "solve", path)
-        assert code == EXIT_OK
-        assert err.count("note:") == 2
-        assert '"memory"' in err and '"line_search"' in err
+        # options of the retired L-BFGS stage and multiplier search are
+        # unknown keys, not silently ignored ones
+        for key, value in (("memory", 10), ("line_search", "backtracking-armijo"), ("lambda_bracket", [-1e6, 1e6])):
+            path = write_problem(tmp_path, k=0.0, solver={key: value})
+            code, out, err = run(capsys, "solve", path)
+            assert code == EXIT_SCHEMA
+            assert out == "" and err == f'error: unknown solver option "{key}"\n'
 
     def test_integral_float_max_iters(self, tmp_path, capsys):
         path = write_problem(tmp_path, k=0.0, solver={"max_iters": 500.0})
@@ -192,13 +192,16 @@ class TestSchemaErrors:
             {"lambda_bracket": 5},
             {"lambda_bracket": [100, -100]},
             {"max_iters": 2.7},
+            # integers beyond double range
+            {"max_iters": 10**400},
+            {"grad_tol": 10**400},
         ],
     )
     def test_bad_solver_option(self, tmp_path, capsys, solver):
         path = write_problem(tmp_path, G="v", xi=1.0, solver=solver)
         code, _, err = run(capsys, "solve", path)
         assert code == EXIT_SCHEMA
-        assert "error:" in err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_quiet_rejected(self, tmp_path, capsys):
         path = write_problem(tmp_path, k=0.0)
@@ -299,6 +302,10 @@ class TestResidual:
         code, _, err = run(capsys, "residual", path, "--y", out_csv)
         assert code == EXIT_SCHEMA
         assert "lambda" in err
+        for lam in ("nan", "inf", "-inf"):
+            code, out, err = run(capsys, "residual", path, "--y", out_csv, f"--lambda={lam}")
+            assert code == EXIT_SCHEMA
+            assert out == "" and err == "error: --lambda must be a finite number\n"
 
     def test_with_lambda(self, tmp_path, capsys):
         path = write_problem(tmp_path, G="v", xi=1.0, yb="auto-reference", n=101)
@@ -308,6 +315,15 @@ class TestResidual:
         code, out, _ = run(capsys, "residual", path, "--y", out_csv, "--lambda", lam)
         assert code == EXIT_OK
         assert "norm_max_interior" in json.loads(out.strip())
+        # a finite multiplier or node value whose residual overflows
+        lines = out_csv.read_text().splitlines()
+        lines[50] = ",".join([lines[50].split(",")[0], "1e308"])
+        big = tmp_path / "big.csv"
+        big.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for traj, multiplier in ((out_csv, 1e308), (big, lam)):
+            code, out, err = run(capsys, "residual", path, "--y", traj, "--lambda", multiplier)
+            assert code == EXIT_DOMAIN
+            assert out == "" and err.startswith("error: overflow") and err.count("\n") == 1
 
     def test_wrong_grid(self, tmp_path, capsys):
         path = write_problem(tmp_path, k=0.0)
@@ -400,6 +416,17 @@ class TestReference:
         code, _, err = run(capsys, "reference", "--k", 1, "--alpha", 0.5, "--xi", 1, "--n", 11, "--out", out)
         assert code == EXIT_SCHEMA
         assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+    def test_out_in_missing_directory_before_computing(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("computed although the output cannot be written")
+
+        monkeypatch.setattr(fracvar.cli, "ml_convolution_extremal", never)
+        out = tmp_path / "missing" / "ref.csv"
+        code, stdout, err = run(capsys, "reference", "--k", 1, "--alpha", 0.5, "--xi", 1, "--n", 11, "--out", out)
+        assert code == EXIT_SCHEMA
+        assert stdout == "" and err.startswith("error: cannot write output file") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
     def test_overflow(self, capsys):
         # at t = 1 the value is about e^(5^10)

@@ -55,8 +55,8 @@ def test_tracer_resolves_every_name():
 
 
 def test_cli_import_set():
-    # mpmath and scipy.integrate serve the tests as oracles only; the CLI
-    # runs without them
-    code = "import sys, fracvar.cli; print(sorted({'mpmath', 'scipy.integrate'} & set(sys.modules)))"
+    # mpmath, scipy.integrate and scipy.special serve the tests as oracles
+    # only; the CLI runs without them
+    code = "import sys, fracvar.cli; print(sorted({'mpmath', 'scipy.integrate', 'scipy.special'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
