@@ -8,8 +8,6 @@ from .fracgrid import (
     SampledFunction,
     Side,
     assemble_frac_operator,
-    apply,
-    classical_derivative,
     gl_weights,
     trapezoid_integral,
 )
@@ -36,8 +34,6 @@ __all__ = [
     "SampledFunction",
     "Side",
     "assemble_frac_operator",
-    "apply",
-    "classical_derivative",
     "gl_weights",
     "trapezoid_integral",
     "Lagrangian",

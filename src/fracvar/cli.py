@@ -24,16 +24,16 @@ from pathlib import Path
 import numpy as np
 
 from .fracgrid import FracOrder, Grid, GridMismatchError, SampledFunction
-from .lagrange_dsl import EvalDomainError, ExprSyntaxError, Lagrangian, parse
+from .lagrange_dsl import ExprSyntaxError, Lagrangian, parse
 from .reference import ReferenceSpec, boundary_value, ml_convolution_extremal
 from .solver import (
     BracketFailureError,
     NoMinimizerError,
     SolverOptions,
+    _finite,
     solve_isoperimetric,
     solve_unconstrained,
 )
-from .special import GammaOverflowError, GammaPoleError, MittagLefflerError
 from .variational import Problem, el_residual
 
 EXIT_OK = 0
@@ -57,14 +57,6 @@ def _require(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-def _is_number(x) -> bool:
-    """A finite JSON number: not a bool (an int subclass), NaN or Infinity."""
-    try:
-        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # an integer beyond double precision
-        return False
-
-
 def _load_problem_file(path: str, n_override: int | None = None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -79,29 +71,26 @@ def _load_problem_file(path: str, n_override: int | None = None) -> dict:
 
     for key in ("a", "b", "alpha", "k"):
         _require(key in doc, f'missing key "{key}"')
-        _require(_is_number(doc[key]), f'key "{key}" must be a finite number')
-    _require(doc["a"] < doc["b"], '"a" must be less than "b"')
-    _require(0.0 < doc["alpha"] < 1.0, '"alpha" must lie in the open interval (0, 1)')
+        _require(_finite(doc[key]), f'key "{key}" must be a finite number')
 
     _require("F" in doc and isinstance(doc["F"], str), 'missing expression key "F"')
     _require(("G" in doc) == ("xi" in doc), '"G" and "xi" must co-occur')
     if "G" in doc:
         _require(isinstance(doc["G"], str), '"G" must be an expression string')
-        _require(_is_number(doc["xi"]), '"xi" must be a finite number')
+        _require(_finite(doc["xi"]), '"xi" must be a finite number')
 
-    _require("n" in doc and isinstance(doc["n"], int) and doc["n"] >= 3, '"n" must be an integer >= 3')
+    _require("n" in doc and isinstance(doc["n"], int) and not isinstance(doc["n"], bool), '"n" must be an integer')
     if n_override is not None:
         doc = dict(doc, n=n_override)
-        _require(doc["n"] >= 3, "--n must be >= 3")
 
-    _require("ya" in doc and _is_number(doc["ya"]), '"ya" must be a finite number')
+    _require("ya" in doc and _finite(doc["ya"]), '"ya" must be a finite number')
     _require("yb" in doc, 'missing key "yb"')
     if isinstance(doc["yb"], str):
         _require(doc["yb"] == "auto-reference", '"yb" must be a finite number or "auto-reference"')
         _require(doc["a"] == 0.0, '"yb": "auto-reference" requires a = 0')
         _require("xi" in doc, '"yb": "auto-reference" requires "xi"')
     else:
-        _require(_is_number(doc["yb"]), '"yb" must be a finite number or "auto-reference"')
+        _require(_finite(doc["yb"]), '"yb" must be a finite number or "auto-reference"')
 
     if "solver" in doc:
         _require(isinstance(doc["solver"], dict), '"solver" must be an object')
@@ -207,12 +196,10 @@ def _read_trajectory_csv(path: str, grid: Grid) -> SampledFunction:
 def cmd_residual(args: argparse.Namespace) -> int:
     doc = _load_problem_file(args.file, args.n)
     p = _build_problem(doc)
-    if p.constrained and args.lam is None:
-        raise SchemaError("problem has a constraint; supply --lambda")
-    _require(args.lam is None or math.isfinite(args.lam), "--lambda must be a finite number")
+    _require(args.lam is None or _finite(args.lam), "--lambda must be a finite number")
     y = _read_trajectory_csv(args.y, p.grid)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        res = el_residual(p, y, args.lam if p.constrained else None)
+        res = el_residual(p, y, args.lam)
     print(
         json.dumps(
             {
@@ -226,13 +213,9 @@ def cmd_residual(args: argparse.Namespace) -> int:
 
 
 def cmd_reference(args: argparse.Namespace) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise SchemaError("alpha must lie in the open interval (0, 1)")
-    if args.n < 3:
-        raise SchemaError("n must be >= 3")
-    out = _output_path(args.out) if args.out else None
     grid = Grid(0.0, args.b, args.n)
     spec = ReferenceSpec(k=args.k, order=FracOrder(args.alpha), xi=args.xi, grid=grid)
+    out = _output_path(args.out) if args.out else None
     text = _csv_text(["t", "y"], (grid.nodes(), ml_convolution_extremal(spec).values))
     if out is not None:
         _write_text(out, text)
@@ -261,19 +244,15 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         doc["ya"] == 0.0 and doc["yb"] == "auto-reference" and p.f.f == parse("v^2") and p.g.f == parse("v")
     )
 
+    finest_p, finest_sol = solutions[sizes[-1]]
     entries = []
-    if has_reference:
-        for n in sizes:
-            p, sol = solutions[n]
+    for n in sizes:
+        p, sol = solutions[n]
+        if has_reference:
             ref = ml_convolution_extremal(ReferenceSpec(k=p.k, order=p.order, xi=p.xi, grid=p.grid)).values
-            entries.append({"n": n, "error": float(np.max(np.abs(sol.y.values - ref)))})
-    else:
-        finest_p, finest_sol = solutions[sizes[-1]]
-        fine_t = finest_p.grid.nodes()
-        for n in sizes:
-            p, sol = solutions[n]
-            interp = np.interp(p.grid.nodes(), fine_t, finest_sol.y.values)
-            entries.append({"n": n, "error": float(np.max(np.abs(sol.y.values - interp)))})
+        else:
+            ref = np.interp(p.grid.nodes(), finest_p.grid.nodes(), finest_sol.y.values)
+        entries.append({"n": n, "error": float(np.max(np.abs(sol.y.values - ref)))})
 
     orders = []
     for i in range(len(entries) - 1):
@@ -333,13 +312,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SCHEMA
     try:
         return args.func(args)
-    except (GammaPoleError, GammaOverflowError, EvalDomainError, MittagLefflerError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (BracketFailureError, NoMinimizerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOCONV
-    except (SchemaError, ExprSyntaxError, GridMismatchError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except MemoryError:

@@ -8,14 +8,14 @@ exact transpose, which callers that hold the left matrix take as the
 transposed view rather than a second matrix.  Row 0 of a left operator and
 row n-1 of a right operator are boundary rows: the continuous derivative is
 singular there whenever the function does not vanish at that endpoint, so
-callers exclude them from residual norms.  The classical stencil and the
-left boundary split also act on plain arrays, for the variational layer.
+callers exclude them from residual norms.  Operators act on node values by
+`op.weights @ values`; the classical stencil and the left boundary split act
+on node-value arrays too.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +32,7 @@ __all__ = [
     "FracOperator",
     "gl_weights",
     "assemble_frac_operator",
-    "apply",
-    "left_derivative_split",
     "split_left_derivative",
-    "classical_derivative",
     "derivative_stencil",
     "trapezoid_integral",
     "variational_weights",
@@ -43,7 +40,7 @@ __all__ = [
 
 
 class GridMismatchError(ValueError):
-    """Operator and sampled function live on different grids."""
+    """A trajectory and the problem it is checked against live on different grids."""
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,7 @@ class Grid:
         if not self.a < self.b:
             raise ValueError(f"need a < b, got a={self.a!r}, b={self.b!r}")
         if self.n < 3:
-            raise ValueError(f"need at least 3 nodes, got n={self.n!r}")
+            raise ValueError(f"n must be >= 3, got n={self.n!r}")
 
     @property
     def h(self) -> float:
@@ -96,7 +93,7 @@ class FracOrder:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"fractional order must lie in (0, 1), got {self.alpha!r}")
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
 
 class Side(enum.Enum):
@@ -113,11 +110,6 @@ class FracOperator:
     order: FracOrder
     side: Side
     weights: np.ndarray
-
-    @property
-    def boundary_row(self) -> int:
-        """Row where the continuous derivative may be singular (Remark-type endpoint)."""
-        return 0 if self.side is Side.LEFT else self.grid.n - 1
 
 
 def gl_weights(order: FracOrder, count: int) -> np.ndarray:
@@ -141,15 +133,9 @@ def assemble_frac_operator(grid: Grid, order: FracOrder, side: Side) -> FracOper
     return FracOperator(grid=grid, order=order, side=side, weights=mat)
 
 
-def apply(op: FracOperator, f: SampledFunction) -> SampledFunction:
-    """Matrix-vector application of the operator; linear in f."""
-    if f.grid != op.grid:
-        raise GridMismatchError("operator and function are sampled on different grids")
-    return SampledFunction(f.grid, op.weights @ f.values)
-
-
-def left_derivative_split(op: FracOperator, f: SampledFunction) -> SampledFunction:
-    """Left derivative with the nonzero-boundary split.
+def split_left_derivative(op: FracOperator, values: np.ndarray) -> np.ndarray:
+    """Left derivative of the node values of a function on op's grid, with the
+    nonzero-boundary split.
 
     The plain GL sum converges slowly through the singular part generated by a
     nonzero left boundary value; splitting f = f(a) + (f - f(a)) and adding the
@@ -157,13 +143,6 @@ def left_derivative_split(op: FracOperator, f: SampledFunction) -> SampledFuncti
     restores accuracy at interior nodes.  Node 0 keeps the plain GL value
     (the continuous derivative is infinite there when f(a) != 0).
     """
-    if f.grid != op.grid:
-        raise GridMismatchError("operator and function are sampled on different grids")
-    return SampledFunction(f.grid, split_left_derivative(op, f.values))
-
-
-def split_left_derivative(op: FracOperator, values: np.ndarray) -> np.ndarray:
-    """`left_derivative_split` on the node values of a function on op's grid."""
     if op.side is not Side.LEFT:
         raise ValueError("boundary split applies to left operators only")
     fa = values[0]
@@ -174,11 +153,6 @@ def split_left_derivative(op: FracOperator, values: np.ndarray) -> np.ndarray:
         out[1:] += fa * (t[1:] - op.grid.a) ** (-alpha) / gamma(1.0 - alpha)
         out[0] = op.weights[0, 0] * fa
     return out
-
-
-def classical_derivative(f: SampledFunction) -> SampledFunction:
-    """Second-order first derivative: central stencils inside, one-sided at ends."""
-    return SampledFunction(f.grid, derivative_stencil(f.values, f.grid.h))
 
 
 def derivative_stencil(x: np.ndarray, h: float) -> np.ndarray:

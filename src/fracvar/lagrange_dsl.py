@@ -490,9 +490,8 @@ def evaluate_many(e: Expr, t: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.nd
 class Lagrangian:
     """Expression F(t, y, v) with cached exact first and second partials."""
 
-    def __init__(self, expr: Expr, source: str | None = None):
+    def __init__(self, expr: Expr):
         self.f = expr
-        self.source = source
         self.d2 = differentiate(expr, "y")
         self.d3 = differentiate(expr, "v")
         self.d22 = differentiate(self.d2, "y")
@@ -501,7 +500,7 @@ class Lagrangian:
 
     @classmethod
     def parse(cls, src: str) -> "Lagrangian":
-        return cls(parse(src), source=src)
+        return cls(parse(src))
 
     def value(self, t, y, v) -> np.ndarray:
         return evaluate_many(self.f, t, y, v)

@@ -231,7 +231,7 @@ def el_residual(p: Problem, y: SampledFunction, lam: float | None = None) -> ELR
     """
     _check_grid(p, y)
     if p.g is not None and lam is None:
-        raise MissingConstraintError("constrained problem requires a multiplier")
+        raise MissingConstraintError("problem has a constraint; supply its multiplier lambda")
     h_lagr = _lagrangian_for(p, lam)
     disc = Discretization(p)
     v = disc.v(y.values)

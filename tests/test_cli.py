@@ -153,10 +153,15 @@ class TestSchemaErrors:
         assert code == EXIT_SCHEMA
 
     def test_bad_alpha(self, tmp_path, capsys):
-        path = write_problem(tmp_path, alpha=1.5)
-        code, _, err = run(capsys, "solve", path)
-        assert code == EXIT_SCHEMA
-        assert "alpha" in err
+        # FracOrder refuses alpha outside (0, 1), and Grid an empty interval
+        cases = [({"alpha": alpha}, "alpha") for alpha in (1.5, 0, 1)]
+        cases += [({"a": 1.0, "b": 1.0}, "a < b"), ({"a": 2.0, "b": 1.0}, "a < b")]
+        for overrides, word in cases:
+            path = write_problem(tmp_path, **overrides)
+            code, out, err = run(capsys, "solve", path)
+            assert code == EXIT_SCHEMA
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
+            assert word in err
 
     def test_missing_key(self, tmp_path, capsys):
         path = write_problem(tmp_path, k=None)
@@ -325,6 +330,14 @@ class TestResidual:
             assert code == EXIT_DOMAIN
             assert out == "" and err.startswith("error: overflow") and err.count("\n") == 1
 
+    def test_unconstrained_refuses_lambda(self, tmp_path, capsys):
+        path = write_problem(tmp_path, k=0.0, n=11)
+        out_csv = tmp_path / "sol.csv"
+        run(capsys, "solve", path, "--out", out_csv)
+        code, out, err = run(capsys, "residual", path, "--y", out_csv, "--lambda", 1)
+        assert code == EXIT_SCHEMA
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
     def test_wrong_grid(self, tmp_path, capsys):
         path = write_problem(tmp_path, k=0.0)
         out_csv = tmp_path / "sol.csv"
@@ -378,15 +391,28 @@ class TestReference:
         assert float(last[1]) == pytest.approx(2.0, abs=1e-12)
 
     def test_bad_alpha(self, capsys):
-        code, _, _ = run(
-            capsys, "reference", "--k", 1.0, "--alpha", 2.0, "--xi", 1.0, "--n", 11
-        )
-        assert code == EXIT_SCHEMA
+        # and b = 0, an empty interval from a = 0
+        for alpha, b in ((2.0, 1.0), (0.0, 1.0), (0.5, 0.0)):
+            code, out, err = run(
+                capsys, "reference", "--k", 1.0, "--alpha", alpha, "--xi", 1.0, "--n", 11, "--b", b
+            )
+            assert code == EXIT_SCHEMA
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
-    def test_too_few_nodes(self, capsys):
+    def test_too_few_nodes(self, tmp_path, capsys):
         code, out, err = run(capsys, "reference", "--k", 1.0, "--alpha", 0.5, "--xi", 1.0, "--n", 2)
         assert code == EXIT_SCHEMA
         assert out == "" and err.startswith("error: n must be >= 3") and err.count("\n") == 1
+        # the same check, through a problem file and through --n
+        for n, extra, message in (
+            (2, (), "error: n must be >= 3"),
+            (True, (), 'error: "n" must be an integer'),
+            (11, ("--n", 2), "error: n must be >= 3"),
+        ):
+            path = write_problem(tmp_path, n=n)
+            code, out, err = run(capsys, "solve", path, *extra)
+            assert code == EXIT_SCHEMA
+            assert out == "" and err.startswith(message) and err.count("\n") == 1
 
     def test_positive_argument_peak_past_256_terms(self, capsys):
         # k < 0 makes the Mittag-Leffler argument positive; at t = 0.3 it is
