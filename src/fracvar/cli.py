@@ -48,10 +48,6 @@ class SchemaError(ValueError):
     """Problem file violates the documented schema."""
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise SchemaError(message)
@@ -87,7 +83,6 @@ def _load_problem_file(path: str, n_override: int | None = None) -> dict:
     _require("yb" in doc, 'missing key "yb"')
     if isinstance(doc["yb"], str):
         _require(doc["yb"] == "auto-reference", '"yb" must be a finite number or "auto-reference"')
-        _require(doc["a"] == 0.0, '"yb": "auto-reference" requires a = 0')
         _require("xi" in doc, '"yb": "auto-reference" requires "xi"')
     else:
         _require(_finite(doc["yb"]), '"yb" must be a finite number or "auto-reference"')
@@ -129,12 +124,8 @@ def _build_problem(doc: dict) -> Problem:
     )
 
 
-def _solver_options(doc: dict) -> SolverOptions:
-    return SolverOptions(**doc.get("solver", {}))
-
-
 def _csv_text(header: list[str], columns) -> str:
-    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in zip(*columns)]
+    lines = [",".join(header)] + [",".join(f"{float(x):.17g}" for x in row) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -157,7 +148,7 @@ def _write_text(path: Path, text: str) -> None:
 def cmd_solve(args: argparse.Namespace) -> int:
     doc = _load_problem_file(args.file, args.n)
     p = _build_problem(doc)
-    opts = _solver_options(doc)
+    opts = SolverOptions(**doc.get("solver", {}))
     out = _output_path(args.out or Path(args.file).with_suffix(".out.csv"))
     sol = solve_isoperimetric(p, opts) if p.constrained else solve_unconstrained(p, opts)
     summary = {
@@ -216,12 +207,14 @@ def cmd_reference(args: argparse.Namespace) -> int:
     grid = Grid(0.0, args.b, args.n)
     spec = ReferenceSpec(k=args.k, order=FracOrder(args.alpha), xi=args.xi, grid=grid)
     out = _output_path(args.out) if args.out else None
-    text = _csv_text(["t", "y"], (grid.nodes(), ml_convolution_extremal(spec).values))
+    y = ml_convolution_extremal(spec).values
+    text = _csv_text(["t", "y"], (grid.nodes(), y))
     if out is not None:
         _write_text(out, text)
     else:
         sys.stdout.write(text)
-    print(json.dumps({"boundary_value": boundary_value(spec)}, sort_keys=True))
+    # the last node is b itself, so y[-1] is boundary_value(spec)
+    print(json.dumps({"boundary_value": float(y[-1])}, sort_keys=True))
     return EXIT_OK
 
 
@@ -230,7 +223,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     _require(len(sizes) >= 2, "need at least 2 grid sizes")
     _require(len(set(sizes)) == len(sizes), "grid sizes must be distinct")
     doc = _load_problem_file(args.file)
-    opts = _solver_options(doc)
+    opts = SolverOptions(**doc.get("solver", {}))
 
     solutions = {}
     for n in sizes:

@@ -116,15 +116,14 @@ def gl_weights(order: FracOrder, count: int) -> np.ndarray:
     """Grunwald-Letnikov weights w_j = (-1)^j * binom(alpha, j), j < count."""
     if count < 1:
         raise ValueError(f"need count >= 1, got {count!r}")
-    alpha = order.alpha
-    w = np.empty(count)
-    w[0] = 1.0
-    for j in range(1, count):
-        w[j] = w[j - 1] * (1.0 - (alpha + 1.0) / j)
-    return w
+    # the recurrence w_j = w_{j-1} (1 - (alpha + 1)/j), multiplied left to right
+    return np.cumprod(np.r_[1.0, 1.0 - (order.alpha + 1.0) / np.arange(1, count)])
 
 
 def assemble_frac_operator(grid: Grid, order: FracOrder, side: Side) -> FracOperator:
+    if grid.n**2 > np.iinfo(np.intp).max // 8:
+        # refused before anything is allocated: numpy cannot index the matrix
+        raise MemoryError("the n x n matrix of doubles is too large to index")
     w = gl_weights(order, grid.n) / grid.h**order.alpha
     mat = scipy.linalg.toeplitz(w, np.zeros(grid.n))
     if side is Side.RIGHT:
@@ -176,15 +175,16 @@ def variational_weights(grid: Grid) -> np.ndarray:
     """Quadrature weights used to discretize variational functionals.
 
     These are trapezoid weights with modified entries near the endpoints,
-    h * [1/4, 5/4, 1, ..., 1, 5/4, 1/4].  The modification is the discrete
-    summation-by-parts condition for the second-order difference stencil:
-    the transposed stencil annihilates the weight vector on interior columns,
-    so affine extremals are exact stationary points of the discrete
-    functional.  Still second-order accurate and exact on affine integrands.
+    h * [1/4, 5/4, 1, ..., 1, 5/4, 1/4] from n = 4 on.  The modification is
+    the discrete summation-by-parts condition for the second-order difference
+    stencil: the transposed stencil annihilates the weight vector on interior
+    columns, so affine extremals are exact stationary points of the discrete
+    functional; at n = 3 the plain trapezoid weights meet it.  Still
+    second-order accurate and exact on affine integrands.
     """
     h = grid.h
     w = np.full(grid.n, h)
-    if grid.n >= 5:
+    if grid.n >= 4:
         w[0] = w[-1] = h / 4.0
         w[1] = w[-2] = 5.0 * h / 4.0
     else:

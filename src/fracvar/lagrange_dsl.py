@@ -208,12 +208,8 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
                 break
             at = len(src) - len(stripped)
             raise ExprSyntaxError(f"unexpected character {src[at]!r}", at)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(src)))
     return tokens

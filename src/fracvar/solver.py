@@ -195,7 +195,7 @@ def _line_search(disc: Discretization, cur: _Iterate, dx: np.ndarray, dlam: floa
     return None
 
 
-def _newton(p: Problem, opts: SolverOptions) -> tuple[_Iterate, int]:
+def _newton(p: Problem, opts: SolverOptions) -> tuple[_Iterate, int, bool]:
     disc = Discretization(p)
     x0 = (p.ya + (p.yb - p.ya) * (disc.t - p.grid.a) / (p.grid.b - p.grid.a))[1:-1]
     cur = _evaluate(disc, x0, 0.0 if p.constrained else None)
@@ -227,13 +227,13 @@ def _newton(p: Problem, opts: SolverOptions) -> tuple[_Iterate, int]:
     stationary = cur.gmax <= opts.grad_tol and abs(cur.constraint) <= opts.constraint_tol
     if stationary and indefinite:
         raise NoMinimizerError("no minimizer: Hessian indefinite at the stationary point reached")
-    return cur, iters
+    return cur, iters, stationary
 
 
 def _solve(p: Problem, opts: SolverOptions) -> Solution:
     # an overflow in a trial point is a rejected step, never a warning
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        cur, iters = _newton(p, opts)
+        cur, iters, converged = _newton(p, opts)
     y = SampledFunction(p.grid, cur.y)
     return Solution(
         y=y,
@@ -241,7 +241,7 @@ def _solve(p: Problem, opts: SolverOptions) -> Solution:
         residual=el_residual(p, y, cur.lam),
         objective=cur.objective,
         iterations=iters,
-        converged=cur.gmax <= opts.grad_tol and abs(cur.constraint) <= opts.constraint_tol,
+        converged=converged,
         lam=cur.lam,
         constraint_residual=None if cur.lam is None else cur.constraint,
     )

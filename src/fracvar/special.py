@@ -1,5 +1,5 @@
-"""Scalar special functions: gamma, the complementary error function, and the
-two-parameter Mittag-Leffler function.
+"""Scalar special functions: gamma and the complementary error function,
+which are math's, and the two-parameter Mittag-Leffler function.
 
 The Mittag-Leffler function E_{alpha,beta}(z) has two routes:
 
@@ -19,12 +19,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from math import erfc, gamma
 
 import numpy as np
 
 __all__ = [
-    "GammaPoleError",
-    "GammaOverflowError",
     "MittagLefflerError",
     "MLParams",
     "gamma",
@@ -43,30 +42,8 @@ _LOG_TOL = math.log(1e-15)
 _RE_MAX = 709.0
 
 
-class GammaPoleError(ValueError):
-    """gamma() evaluated at a nonpositive integer."""
-
-
-class GammaOverflowError(OverflowError):
-    """gamma() above the double-precision representable range."""
-
-
 class MittagLefflerError(ArithmeticError):
     """The Mittag-Leffler function overflows double precision."""
-
-
-def gamma(x: float) -> float:
-    """Gamma function, accurate to at least 12 significant digits on [0.01, 170]."""
-    if x <= 0.0 and x == math.floor(x):
-        raise GammaPoleError(f"gamma has a pole at {x:g}")
-    if x > _GAMMA_MAX:
-        raise GammaOverflowError(f"gamma({x:g}) overflows double precision")
-    return math.gamma(x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function 1 - (2/sqrt(pi)) * integral_0^x exp(-s^2) ds."""
-    return math.erfc(x)
 
 
 @dataclass(frozen=True)
@@ -150,14 +127,17 @@ def _contour(p: MLParams, z: float) -> float:
     # singularity j and j + 1, and on the contour through it e^s must stay
     # within tol/eps of the value
     phi = [0.0, *map(phi_of, poles), math.inf]
-    strength = max(0.0, -2.0 * (p.alpha - p.beta + 1.0))
+    strength = [max(0.0, -2.0 * (p.alpha - p.beta + 1.0)), *[1.0] * len(poles)]
     regions = [
         j for j in range(len(poles) + 1) if phi[j] < _LOG_TOL - _LOG_EPS and phi[j] < phi[j + 1]
     ]
     log_tol = _LOG_TOL
     while True:
         n, mu, h, j = min(
-            (*_region(phi[j], phi[j + 1], strength if j == 0 else 1.0, log_tol), j) for j in regions
+            (*_unbounded_region(phi[j], strength[j], log_tol), j)
+            if math.isinf(phi[j + 1])
+            else (*_bounded_region(phi[j], phi[j + 1], strength[j], log_tol), j)
+            for j in regions
         )
         if n <= 200:
             break
@@ -171,14 +151,6 @@ def _contour(p: MLParams, z: float) -> float:
     # the poles right of the contour
     residues = sum((s ** (1.0 - p.beta) * cmath.exp(s) for s in poles[j:]), 0j) / p.alpha
     return integral + residues.real
-
-
-def _region(phi_j: float, phi_j1: float, p_j: float, log_tol: float) -> tuple[float, float, float]:
-    """(nodes N, mu, step h) of the contour right of singularity j, of
-    strength p_j, and left of j + 1, a simple pole, if there is one."""
-    if math.isinf(phi_j1):
-        return _unbounded_region(phi_j, p_j, log_tol)
-    return _bounded_region(phi_j, phi_j1, p_j, log_tol)
 
 
 def _bounded_region(

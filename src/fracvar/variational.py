@@ -124,8 +124,9 @@ class Discretization:
     with its gradient and Hessian in y."""
 
     def __init__(self, p: Problem):
-        self.p, self.t, self.w = p, p.grid.nodes(), variational_weights(p.grid)
+        # the operator first: it refuses an n whose matrix cannot be indexed
         self.left = discrete_operators(p.grid, p.order)
+        self.p, self.t, self.w = p, p.grid.nodes(), variational_weights(p.grid)
 
     def pieces(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """y' by the classical stencil and D^alpha y with the boundary split."""
@@ -157,13 +158,14 @@ class Discretization:
 
         Entry (i, j) of M^T W M sums over rows m >= max(i, j) - 2 of M only, so
         each column block c0:c1 of the upper triangle is a product over rows
-        from c0 - 2 on; the lower triangle is mirrored from the upper one."""
+        from c0 - 2 on; the lower triangle is mirrored from the upper one,
+        column by column."""
         n, m = self.p.grid.n, self.m
         wvv = self.w * lagr.dvv(self.t, y, v)
         hess = np.empty((n, n), order="F")
         width = -(-n // _HESSIAN_BLOCKS)
-        blocks = [(c0, min(c0 + width, n)) for c0 in range(0, n, width)]
-        for c0, c1 in blocks:
+        for c0 in range(0, n, width):
+            c1 = min(c0 + width, n)
             r = max(c0 - 2, 0)
             hess[:c1, c0:c1] = m[r:, :c1].T @ (wvv[r:, None] * m[r:, c0:c1])
         wyv = self.w * lagr.dyv(self.t, y, v)
@@ -172,11 +174,8 @@ class Discretization:
             hess += cross
             hess += cross.T
         hess[np.diag_indices(n)] += self.w * lagr.dyy(self.t, y, v)
-        for c0, c1 in blocks:
-            hess[c1:, c0:c1] = hess[c0:c1, c1:].T
-            diag = hess[c0:c1, c0:c1]
-            lower = np.tril_indices(c1 - c0, -1)
-            diag[lower] = diag.T[lower]
+        for j in range(n - 1):
+            hess[j + 1:, j] = hess[j, j + 1:]
         return hess[1:-1, 1:-1]
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import pytest
@@ -124,9 +125,11 @@ class TestSolve:
 
     def test_out_in_missing_directory(self, tmp_path, capsys):
         path = write_problem(tmp_path, n=11)
-        code, out, err = run(capsys, "solve", path, "--out", tmp_path / "missing" / "sol.csv")
-        assert code == EXIT_SCHEMA
-        assert out == "" and err.startswith("error: cannot write") and err.count("\n") == 1
+        # a path in a missing directory, and a path that is a directory
+        for out_path in (tmp_path / "missing" / "sol.csv", tmp_path):
+            code, out, err = run(capsys, "solve", path, "--out", out_path)
+            assert code == EXIT_SCHEMA
+            assert out == "" and err.startswith("error: cannot write output file") and err.count("\n") == 1
 
     def test_out_in_missing_directory_before_solving(self, tmp_path, capsys, monkeypatch):
         def never(*args):
@@ -285,6 +288,20 @@ class TestDomainErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "problem.out.csv").exists()
 
+    def test_n_too_large_to_index(self, tmp_path, capsys):
+        # refused before any array of n values is made
+        path = write_problem(tmp_path, n=10**400)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "solve", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("error: out of memory") and err.count("\n") == 1
+        assert not (tmp_path / "problem.out.csv").exists()
+        assert peak < 10 * 2**20
+
 
 class TestResidual:
     def test_round_trip(self, tmp_path, capsys):
@@ -355,13 +372,18 @@ class TestResidual:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("", "trajectory CSV is empty"), ("t,y\n0,0\n0.6,0.5\n1,1\n", "t column does not match")],
-        ids=["empty", "off-grid"],
+        [
+            ("", "trajectory CSV is empty"),
+            ("t,y\n0,0\n0.6,0.5\n1,1\n", "t column does not match"),
+            (None, "cannot read trajectory CSV"),
+        ],
+        ids=["empty", "off-grid", "missing"],
     )
     def test_unusable_trajectory_csv(self, tmp_path, capsys, text, message):
         path = write_problem(tmp_path, k=0.0, n=3)
         traj = tmp_path / "y.csv"
-        traj.write_text(text, encoding="utf-8")
+        if text is not None:
+            traj.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "residual", path, "--y", traj)
         assert code == EXIT_SCHEMA
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
@@ -438,10 +460,11 @@ class TestReference:
         assert float(row[1]) == pytest.approx(1181.8918785744083, rel=1e-12)
 
     def test_out_in_missing_directory(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "ref.csv"
-        code, _, err = run(capsys, "reference", "--k", 1, "--alpha", 0.5, "--xi", 1, "--n", 11, "--out", out)
-        assert code == EXIT_SCHEMA
-        assert err.startswith("error: cannot write") and err.count("\n") == 1
+        # a path in a missing directory, and a path that is a directory
+        for out in (tmp_path / "missing" / "ref.csv", tmp_path):
+            code, stdout, err = run(capsys, "reference", "--k", 1, "--alpha", 0.5, "--xi", 1, "--n", 11, "--out", out)
+            assert code == EXIT_SCHEMA
+            assert stdout == "" and err.startswith("error: cannot write output file") and err.count("\n") == 1
 
     def test_out_in_missing_directory_before_computing(self, tmp_path, capsys, monkeypatch):
         def never(*args):

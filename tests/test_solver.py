@@ -197,6 +197,25 @@ class TestUnconstrained:
         assert rejected
         assert np.max(np.abs(discrete_gradient(p, sol.y))) <= 1e-9
 
+    def test_line_search_gives_up_after_40_halvings(self, monkeypatch):
+        # every trial point fails: the line search halves 40 times, then the
+        # solve stops unconverged at its start
+        calls = []
+        evaluate = fracvar.solver._evaluate
+
+        def failing(*args):
+            calls.append(args[1])
+            if len(calls) > 1:
+                raise FloatingPointError("overflow encountered")
+            return evaluate(*args)
+
+        monkeypatch.setattr(fracvar.solver, "_evaluate", failing)
+        p = Problem(Lagrangian.parse("v^4+y^2"), 0.7, FracOrder(0.3), Grid(0.0, 1.0, 21), 0.0, 1.0)
+        sol = solve_unconstrained(p)
+        assert not sol.converged
+        assert sol.iterations == 0
+        assert len(calls) == 41
+
 
 class TestIsoperimetric:
     def test_rejects_unconstrained(self):
