@@ -8,7 +8,7 @@ significant digits so runs are byte-reproducible.
 Exit codes: 0 success/converged, 2 parse/schema/precondition error,
 3 solver non-convergence, no minimizer, or an abnormal (multiplier-free)
 constraint, 4 numeric domain error, or out of memory (the dense operators
-grow as n^2).
+grow as n^2, a reference as n).
 """
 
 from __future__ import annotations
@@ -314,8 +314,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except MemoryError:
-        print("error: out of memory: the dense operators grow as n^2; use a smaller n", file=sys.stderr)
+    except MemoryError as exc:
+        # the array's owner, or numpy, names what did not fit
+        what = str(exc) or "the dense operators grow as n^2"
+        print(f"error: out of memory: {what}; use a smaller n", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -16,6 +16,7 @@ on node-value arrays too.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,8 @@ class Grid:
     def __post_init__(self) -> None:
         if not self.a < self.b:
             raise ValueError(f"need a < b, got a={self.a!r}, b={self.b!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b - self.a)):
+            raise ValueError(f"need finite a, b and b - a, got a={self.a!r}, b={self.b!r}")
         if self.n < 3:
             raise ValueError(f"n must be >= 3, got n={self.n!r}")
 
@@ -62,6 +65,9 @@ class Grid:
         return (self.b - self.a) / (self.n - 1)
 
     def nodes(self) -> np.ndarray:
+        if self.n > np.iinfo(np.intp).max // 8:
+            # refused before anything is allocated: numpy cannot index the array
+            raise MemoryError("the n node values are too many to index")
         return np.linspace(self.a, self.b, self.n)
 
 

@@ -43,8 +43,8 @@ class ReferenceSpec:
     def __post_init__(self) -> None:
         if self.grid.a != 0.0:
             raise ValueError("reference extremals are anchored at a = 0")
-        if not all(map(math.isfinite, (self.k, self.xi, self.grid.b))):
-            raise ValueError("reference extremals need finite k, xi and b")
+        if not (math.isfinite(self.k) and math.isfinite(self.xi)):
+            raise ValueError("reference extremals need finite k and xi")
 
 
 def _extremal_at(spec: ReferenceSpec, t: float) -> float:

@@ -3,10 +3,10 @@ functional and constraint values, the Euler-Lagrange residual, and the discrete
 gradient (first variation) with respect to interior node values.
 
 All of them, and the solver, go through one `Discretization` of the problem,
-built on the left GL matrix L of the last grid and order: v = D_c y + k L y
-with the boundary split, quadratures of the Lagrangian, and its gradient and
-Hessian through the dense M = D_c + k L, whose rows end two columns right of
-the diagonal.  The right operator is L's transpose.
+which owns its left GL matrix L (freed with it): v = D_c y + k L y with the
+boundary split, quadratures of the Lagrangian, and its gradient and Hessian
+through the dense M = D_c + k L, whose rows end two columns right of the
+diagonal.  The right operator is L's transpose.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ class Problem:
             raise ValueError("isoperimetric constraint requires both G and xi")
         if not (math.isfinite(self.ya) and math.isfinite(self.yb)):
             raise ValueError("boundary values must be finite")
+        if not (math.isfinite(self.k) and (self.xi is None or math.isfinite(self.xi))):
+            raise ValueError("k and xi must be finite")
 
     @property
     def constrained(self) -> bool:
@@ -102,20 +104,9 @@ class ELResidual:
 _HESSIAN_BLOCKS = 8
 
 
-_last_operator: dict[tuple[Grid, FracOrder], FracOperator] = {}
-
-
 def discrete_operators(grid: Grid, order: FracOrder) -> FracOperator:
-    """The left GL operator, whose transpose is the right one, of the last
-    (grid, order) asked for: the cache keeps one n x n matrix, not one per
-    grid, and drops it before assembling another, so two are never held."""
-    if (grid, order) not in _last_operator:
-        _last_operator.clear()
-        _last_operator[grid, order] = assemble_frac_operator(grid, order, Side.LEFT)
-    return _last_operator[grid, order]
-
-
-discrete_operators.cache_clear = _last_operator.clear
+    """The left GL operator, whose transpose is the right one; each call assembles its own."""
+    return assemble_frac_operator(grid, order, Side.LEFT)
 
 
 class Discretization:
@@ -139,10 +130,16 @@ class Discretization:
     @cached_property
     def m(self) -> np.ndarray:
         """Dense M = D_c + k L, in Fortran order for BLAS and LAPACK: v depends on y
-        through M (the split adds a constant).  Row i is zero past column i + 2."""
+        through M (the split adds a constant).  Row i is zero past column i + 2.
+        D_c's bands are the rows of the 3 x 3 identity's stencil: node 0, inside, node n - 1."""
         m = np.array(self.left.weights, order="F")
         m *= self.p.k
-        m += derivative_stencil(np.eye(self.p.grid.n), self.p.grid.h)
+        d = derivative_stencil(np.eye(3), self.p.grid.h)
+        m[0, :3] += d[0]
+        m[-1, -3:] += d[2]
+        inside = np.arange(1, self.p.grid.n - 1)
+        m[inside, inside - 1] += d[1, 0]
+        m[inside, inside + 1] += d[1, 2]
         return m
 
     def value(self, lagr, y: np.ndarray, v: np.ndarray) -> float:

@@ -280,7 +280,6 @@ class TestDomainErrors:
             raise MemoryError
 
         monkeypatch.setattr(fracvar.variational, "assemble_frac_operator", no_memory)
-        fracvar.variational.discrete_operators.cache_clear()
         path = write_problem(tmp_path)
         code, _, err = run(capsys, "solve", path)
         assert code == EXIT_DOMAIN
@@ -435,6 +434,22 @@ class TestReference:
             code, out, err = run(capsys, "solve", path, *extra)
             assert code == EXIT_SCHEMA
             assert out == "" and err.startswith(message) and err.count("\n") == 1
+
+    def test_n_too_large_to_index(self, tmp_path, capsys):
+        # refused before any array of n values is made; a reference holds
+        # O(n), so the message does not blame the dense operators
+        out_csv = tmp_path / "ref.csv"
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "reference", "--k", 1, "--alpha", 0.5, "--xi", 1, "--n", 10**400, "--out", out_csv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("error: out of memory") and err.count("\n") == 1
+        assert " n " in err and "dense" not in err
+        assert not out_csv.exists()
+        assert peak < 10 * 2**20
 
     def test_positive_argument_peak_past_256_terms(self, capsys):
         # k < 0 makes the Mittag-Leffler argument positive; at t = 0.3 it is

@@ -37,6 +37,9 @@ class TestGrid:
             Grid(1.0, 0.0, 11)
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 2)
+        for a, b in ((0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="need finite a, b and b - a"):
+                Grid(a, b, 5)
 
     def test_sampled_function_validation(self):
         g = Grid(0.0, 1.0, 5)
@@ -81,6 +84,8 @@ class TestFracOperator:
         right = assemble_frac_operator(g, FracOrder(0.4), Side.RIGHT)
         assert np.all(np.triu(left.weights, 1) == 0.0)
         assert np.all(np.tril(right.weights, -1) == 0.0)
+        with pytest.raises(ValueError, match="left operators only"):
+            split_left_derivative(right, np.ones(g.n))
 
     def test_adjoint_structure(self):
         g = Grid(0.0, 1.0, 32)

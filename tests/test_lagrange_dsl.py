@@ -113,6 +113,7 @@ def dual_partial(e, var, t, y, v):
 class TestParse:
     def test_simple_power(self):
         assert parse("v^2") == Binary("^", Var("v"), Const(2.0))
+        assert parse("v^2 ") == Binary("^", Var("v"), Const(2.0))
 
     def test_precedence(self):
         # * binds tighter than +, ^ tighter than unary minus
@@ -133,6 +134,8 @@ class TestParse:
         assert parse("2 * 0.5") == Const(1.0)
         assert parse("v * 1") == Var("v")
         assert parse("y + 0") == Var("y")
+        assert parse("2^3") == Const(8.0)
+        assert parse("v / 1") == Var("v")
 
     def test_scientific_notation(self):
         assert parse("1.5e-3") == Const(0.0015)

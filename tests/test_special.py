@@ -147,6 +147,9 @@ class TestMittagLeffler:
             (0.05, 2.0, -1.06, 0.49071595376849525),
             # a node of the benchmark's cancellation item (alpha = 0.5, k = 3)
             (0.5, 2.0, -2.294558781116753, 0.344983721917681),
+            # alpha = 4: the poles at phi = 1 and 2 lie too close for a
+            # contour between them; the value is (cosh 2 + cos 2) / 2
+            (4.0, 1.0, 16.0, 1.6730244272682446),
         ],
     )
     def test_moderate_cancellation(self, alpha, beta, z, expected):

@@ -30,12 +30,11 @@ def test_tracer_resolves_every_name():
 
     originals = current()
     tracer = tracing.Tracer()
-    variational.discrete_operators.cache_clear()
     tracer.install()
     try:
         for (home, attr, _), original, wrapped in zip(tracing.FUNCTIONS, originals, current()):
             assert wrapped is not original and wrapped.__wrapped__ is original, f"{home}.{attr} was not wrapped"
-        # the operator cache, its assembly and the solver's H are looked up
+        # the operator, its assembly and the solver's H are looked up
         # through the names the tracer wraps
         p = variational.Problem(
             Lagrangian.parse("v^2"), 1.0, FracOrder(0.5), Grid(0.0, 1.0, 21), 0.0, 1.0, Lagrangian.parse("v"), 1.0

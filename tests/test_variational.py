@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,6 +17,7 @@ from fracvar.fracgrid import (
 )
 from fracvar.lagrange_dsl import AugmentedLagrangian, Lagrangian
 from fracvar.reference import ReferenceSpec, ml_convolution_extremal
+from fracvar.solver import solve_isoperimetric
 from fracvar.variational import (
     BoundaryMismatchError,
     Discretization,
@@ -62,6 +64,9 @@ class TestProblem:
     def test_finite_boundaries(self):
         with pytest.raises(ValueError):
             make_problem(yb=math.inf)
+        for k, xi in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="k and xi must be finite"):
+                make_problem(k=k, g=V, xi=xi)
 
 
 def dense_difference_matrix(grid):
@@ -100,7 +105,6 @@ class TestDiscreteOperators:
     def test_last_operator_dropped_before_next_assembly(self, monkeypatch):
         # the peak of a sweep over grids holds one n x n matrix, not two
         order = FracOrder(0.45)
-        discrete_operators.cache_clear()
         first = weakref.ref(discrete_operators(Grid(0.0, 1.0, 41), order))
         alive = []
 
@@ -112,13 +116,39 @@ class TestDiscreteOperators:
         discrete_operators(Grid(0.0, 1.0, 43), order)
         assert alive == [False]
 
+    def test_solve_leaves_no_operator_alive(self, monkeypatch):
+        # each Discretization owns its L, and none outlives the solve
+        made = []
+
+        def recording(*args):
+            op = assemble_frac_operator(*args)
+            made.append(weakref.ref(op))
+            return op
+
+        monkeypatch.setattr(fracvar.variational, "assemble_frac_operator", recording)
+        solve_isoperimetric(make_problem(k=1.0, n=41, g=V, xi=1.0))
+        assert made and all(ref() is None for ref in made)
+
     def test_stencil_columns(self):
         # M = D_c + k L, with D_c from the stencil of the identity
-        p = make_problem(k=0.8, alpha=0.35, n=41)
-        left = assemble_frac_operator(p.grid, p.order, Side.LEFT).weights
-        np.testing.assert_array_equal(
-            Discretization(p).m, dense_difference_matrix(p.grid) + 0.8 * left
-        )
+        for k in (0.8, 0.0, -0.6):
+            p = make_problem(k=k, alpha=0.35, n=41)
+            left = assemble_frac_operator(p.grid, p.order, Side.LEFT).weights
+            np.testing.assert_array_equal(
+                Discretization(p).m, dense_difference_matrix(p.grid) + k * left
+            )
+
+    def test_m_holds_one_matrix_at_its_peak(self):
+        # D_c goes into k L by its bands: no n x n identity or stencil image
+        p = make_problem(k=0.8, alpha=0.35, n=401)
+        disc = Discretization(p)
+        tracemalloc.start()
+        try:
+            disc.m
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * p.grid.n**2
 
     def test_hessian_matches_gradient_differences(self):
         p = make_problem(f=Lagrangian.parse("v^4 + sin(t) * y^2 + y*v"), k=0.7, alpha=0.3, n=41)
