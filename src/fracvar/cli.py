@@ -27,7 +27,7 @@ from .fracgrid import FracOrder, Grid, GridMismatchError, SampledFunction
 from .lagrange_dsl import ExprSyntaxError, Lagrangian, parse
 from .reference import ReferenceSpec, boundary_value, ml_convolution_extremal
 from .solver import (
-    BracketFailureError,
+    AbnormalConstraintError,
     NoMinimizerError,
     SolverOptions,
     _finite,
@@ -41,6 +41,7 @@ EXIT_SCHEMA = 2
 EXIT_NOCONV = 3
 EXIT_DOMAIN = 4
 
+_PROBLEM_KEYS = {"schema", "F", "G", "xi", "a", "b", "alpha", "k", "n", "ya", "yb", "solver"}
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverOptions)}
 
 
@@ -62,6 +63,8 @@ def _load_problem_file(path: str, n_override: int | None = None) -> dict:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"problem file is not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "problem file must be a JSON object")
+    for key in doc:
+        _require(key in _PROBLEM_KEYS, f'unknown key "{key}"')
     if "schema" in doc:
         _require(doc["schema"] == 1, f'unsupported "schema" version {doc["schema"]!r}')
 
@@ -229,6 +232,9 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     for n in sizes:
         p = _build_problem(dict(doc, n=n))
         sol = solve_isoperimetric(p, opts) if p.constrained else solve_unconstrained(p, opts)
+        if not sol.converged:
+            print(f"error: the solve at n={n} did not converge", file=sys.stderr)
+            return EXIT_NOCONV
         solutions[n] = (p, sol)
 
     # the reference extremal solves F = v^2, G = v from y(0) = 0 to its own
@@ -308,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (BracketFailureError, NoMinimizerError) as exc:
+    except (AbnormalConstraintError, NoMinimizerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOCONV
     except ValueError as exc:

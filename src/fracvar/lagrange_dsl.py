@@ -183,10 +183,6 @@ def pow_(a: Expr, b: Expr) -> Expr:
     return Binary("^", a, b)
 
 
-def func(name: str, arg: Expr) -> Expr:
-    return Unary(name, arg)
-
-
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
@@ -294,7 +290,7 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 self.expect_op(")")
-                return func(text, arg)
+                return Unary(text, arg)
             if text not in VARIABLES:
                 raise UnknownIdentifierError(f"unknown identifier {text!r}", offset, VARIABLES)
             return Var(text)
@@ -372,23 +368,23 @@ def _diff_pow(a: Expr, b: Expr, da: Expr, db: Expr) -> Expr:
     if isinstance(b, Const):
         return mul(mul(b, pow_(a, _const(b.value - 1.0))), da)
     # general u^w: u^w * (w' * log u + w * u' / u)
-    return mul(pow_(a, b), add(mul(db, func("log", a)), div(mul(b, da), a)))
+    return mul(pow_(a, b), add(mul(db, Unary("log", a)), div(mul(b, da), a)))
 
 
 _UNARY = {
     "neg": _Op(operator.neg, lambda u, d: neg(d)),
-    "exp": _Op(np.exp, lambda u, d: mul(d, func("exp", u))),
+    "exp": _Op(np.exp, lambda u, d: mul(d, Unary("exp", u))),
     "log": _Op(np.log, lambda u, d: div(d, u), ((lambda u: u > 0.0, "log of nonpositive argument"),)),
     "sqrt": _Op(
         np.sqrt,
-        lambda u, d: div(d, mul(_const(2.0), func("sqrt", u))),
+        lambda u, d: div(d, mul(_const(2.0), Unary("sqrt", u))),
         ((lambda u: u >= 0.0, "sqrt of negative argument"),),
     ),
-    "sin": _Op(np.sin, lambda u, d: mul(d, func("cos", u))),
-    "cos": _Op(np.cos, lambda u, d: neg(mul(d, func("sin", u)))),
+    "sin": _Op(np.sin, lambda u, d: mul(d, Unary("cos", u))),
+    "cos": _Op(np.cos, lambda u, d: neg(mul(d, Unary("sin", u)))),
     "erfc": _Op(
         np.vectorize(special.erfc, otypes=[float]),
-        lambda u, d: mul(_const(-2.0 / math.sqrt(math.pi)), mul(d, func("exp", neg(mul(u, u))))),
+        lambda u, d: mul(_const(-2.0 / math.sqrt(math.pi)), mul(d, Unary("exp", neg(mul(u, u))))),
     ),
 }
 

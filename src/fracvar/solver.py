@@ -11,7 +11,9 @@ A factored matrix that is not positive definite gets a Levenberg shift mu*I,
 grown tenfold, on the tangent part only.  From the affine interpolant of the
 boundary values, steps backtrack on J (Armijo) or, with a constraint, on the
 KKT residual, until the residuals reach min(tol, 1e-12) or a full step
-changes J only by roundoff and does not halve them.
+changes J only by roundoff and does not halve them.  The steps and the final
+iterate's Euler-Lagrange residual use one Discretization, so a solve
+assembles the GL operator once.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ import scipy.linalg
 
 from .fracgrid import SampledFunction
 from .lagrange_dsl import AugmentedLagrangian
-from .variational import Discretization, ELResidual, Problem, el_residual
+from .variational import Discretization, ELResidual, Problem
 
 __all__ = [
-    "BracketFailureError",
+    "AbnormalConstraintError",
     "NoMinimizerError",
     "SolverOptions",
     "Solution",
@@ -38,7 +40,7 @@ __all__ = [
 ]
 
 
-class BracketFailureError(RuntimeError):
+class AbnormalConstraintError(RuntimeError):
     """The constraint gradient grad I vanishes at an iterate: the abnormal
     extremal of the isoperimetric theorem, an extremal of the constraint
     functional itself, which has no multiplier.  The CLI maps it to exit
@@ -138,7 +140,7 @@ def _factor(hess: np.ndarray, grad_i: np.ndarray | None) -> tuple[tuple, bool]:
     if grad_i is not None:
         a_norm = float(np.linalg.norm(grad_i))
         if not a_norm > 0.0:
-            raise BracketFailureError("constraint gradient vanishes: abnormal extremal, no multiplier")
+            raise AbnormalConstraintError("constraint gradient vanishes: abnormal extremal, no multiplier")
         u = grad_i / a_norm
         w = hess @ u
         z = w - 0.5 * (scale + float(np.dot(u, w))) * u  # B conditioned like hess along u too
@@ -195,8 +197,8 @@ def _line_search(disc: Discretization, cur: _Iterate, dx: np.ndarray, dlam: floa
     return None
 
 
-def _newton(p: Problem, opts: SolverOptions) -> tuple[_Iterate, int, bool]:
-    disc = Discretization(p)
+def _newton(disc: Discretization, opts: SolverOptions) -> tuple[_Iterate, int, bool]:
+    p = disc.p
     x0 = (p.ya + (p.yb - p.ya) * (disc.t - p.grid.a) / (p.grid.b - p.grid.a))[1:-1]
     cur = _evaluate(disc, x0, 0.0 if p.constrained else None)
     grad_target = min(opts.grad_tol, 1e-12)
@@ -233,12 +235,12 @@ def _newton(p: Problem, opts: SolverOptions) -> tuple[_Iterate, int, bool]:
 def _solve(p: Problem, opts: SolverOptions) -> Solution:
     # an overflow in a trial point is a rejected step, never a warning
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        cur, iters, converged = _newton(p, opts)
-    y = SampledFunction(p.grid, cur.y)
+        disc = Discretization(p)
+        cur, iters, converged = _newton(disc, opts)
     return Solution(
-        y=y,
+        y=SampledFunction(p.grid, cur.y),
         v=SampledFunction(p.grid, cur.v),
-        residual=el_residual(p, y, cur.lam),
+        residual=disc.el_residual(cur.y, cur.v, cur.lam),
         objective=cur.objective,
         iterations=iters,
         converged=converged,

@@ -4,9 +4,11 @@ gradient (first variation) with respect to interior node values.
 
 All of them, and the solver, go through one `Discretization` of the problem,
 which owns its left GL matrix L (freed with it): v = D_c y + k L y with the
-boundary split, quadratures of the Lagrangian, and its gradient and Hessian
+boundary split, quadratures of the Lagrangian, its gradient and Hessian
 through the dense M = D_c + k L, whose rows end two columns right of the
-diagonal.  The right operator is L's transpose.
+diagonal, and the Euler-Lagrange residual.  The right operator is L's
+transpose.  The public functions build a Discretization per call; a solve
+builds one, and its certificate reads the same one.
 """
 
 from __future__ import annotations
@@ -175,6 +177,26 @@ class Discretization:
             hess[j + 1:, j] = hess[j, j + 1:]
         return hess[1:-1, 1:-1]
 
+    def el_residual(self, y: np.ndarray, v: np.ndarray, lam: float | None) -> ELResidual:
+        """Euler-Lagrange residual of H = F - lam*G (or plain F when lam is None):
+
+        r_i = dH/dy - Dc[dH/dv] + k * (right fractional derivative of dH/dv)
+
+        with the classical stencil Dc and the right GL operator (the transpose of
+        the left one) applied to the sampled dH/dv sequence.  Norms are over
+        interior nodes only.
+        """
+        h_lagr = _lagrangian_for(self.p, lam)
+        d2 = h_lagr.dy(self.t, y, v)
+        d3 = h_lagr.dv(self.t, y, v)
+        r = d2 - derivative_stencil(d3, self.p.grid.h) + self.p.k * (self.left.weights.T @ d3)
+        interior = r[1:-1]
+        return ELResidual(
+            values=SampledFunction(self.p.grid, r),
+            norm_max_interior=float(np.max(np.abs(interior))),
+            norm_l2_interior=float(math.sqrt(self.p.grid.h * float(np.dot(interior, interior)))),
+        )
+
 
 def _check_grid(p: Problem, y: SampledFunction) -> None:
     if y.grid != p.grid:
@@ -217,31 +239,12 @@ def constraint_value(p: Problem, y: SampledFunction) -> float:
 
 
 def el_residual(p: Problem, y: SampledFunction, lam: float | None = None) -> ELResidual:
-    """Euler-Lagrange residual of H = F - lam*G (or plain F when lam is None):
-
-    r_i = dH/dy - Dc[dH/dv] + k * (right fractional derivative of dH/dv)
-
-    with the classical stencil Dc and the right GL operator (the transpose of
-    the left one) applied to the sampled dH/dv sequence.  Norms are over
-    interior nodes only.
-    """
+    """Euler-Lagrange residual of H = F - lam*G, or of F when lam is None: `Discretization.el_residual`."""
     _check_grid(p, y)
     if p.g is not None and lam is None:
         raise MissingConstraintError("problem has a constraint; supply its multiplier lambda")
-    h_lagr = _lagrangian_for(p, lam)
     disc = Discretization(p)
-    v = disc.v(y.values)
-    d2 = h_lagr.dy(disc.t, y.values, v)
-    d3 = h_lagr.dv(disc.t, y.values, v)
-    r = d2 - derivative_stencil(d3, p.grid.h) + p.k * (disc.left.weights.T @ d3)
-    interior = r[1:-1]
-    norm_max = float(np.max(np.abs(interior)))
-    norm_l2 = float(math.sqrt(p.grid.h * float(np.dot(interior, interior))))
-    return ELResidual(
-        values=SampledFunction(p.grid, r),
-        norm_max_interior=norm_max,
-        norm_l2_interior=norm_l2,
-    )
+    return disc.el_residual(y.values, disc.v(y.values), lam)
 
 
 def discrete_gradient(p: Problem, y: SampledFunction, lam: float | None = None) -> np.ndarray:

@@ -193,6 +193,14 @@ class TestSchemaErrors:
         code, _, _ = run(capsys, "solve", path)
         assert code == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("key, value", [("extra", 5), ("Solver", {"max_iters": 1})])
+    def test_unknown_key(self, tmp_path, capsys, key, value):
+        # a misspelled key is refused, not run with the defaults
+        path = write_problem(tmp_path, **{key: value})
+        code, out, err = run(capsys, "solve", path)
+        assert code == EXIT_SCHEMA
+        assert out == "" and err == f'error: unknown key "{key}"\n'
+
     @pytest.mark.parametrize(
         "solver",
         [
@@ -534,6 +542,13 @@ class TestConvergence:
         assert code == EXIT_OK
         report = json.loads(out.strip())
         assert report["entries"][-1]["error"] == 0.0
+
+    def test_unconverged_solve_stops(self, tmp_path, capsys):
+        # an unconverged solve is not data: no errors or orders are printed
+        path = write_problem(tmp_path, F="v^4+y^2", k=0.7, alpha=0.3, solver={"max_iters": 1})
+        code, out, err = run(capsys, "convergence", path, "--grids", 51, 101, 201)
+        assert code == EXIT_NOCONV
+        assert out == "" and err == "error: the solve at n=51 did not converge\n"
 
     def test_needs_two_grids(self, tmp_path, capsys):
         path = write_problem(tmp_path)

@@ -196,7 +196,7 @@ def _branch(children):
                        children, children).map(lambda t: t[0](t[1], t[2]))
     unary = st.tuples(
         st.sampled_from(["exp", "log", "sqrt", "sin", "cos", "erfc"]), children
-    ).map(lambda t: dsl.func(t[0], t[1]))
+    ).map(lambda t: dsl.Unary(t[0], t[1]))
     negated = children.map(dsl.neg)
     return st.one_of(binary, unary, negated)
 

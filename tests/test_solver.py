@@ -7,11 +7,12 @@ import pytest
 import scipy.linalg
 
 import fracvar.solver
+import fracvar.variational
 from fracvar.fracgrid import FracOrder, Grid
 from fracvar.lagrange_dsl import Lagrangian
 from fracvar.reference import ReferenceSpec, boundary_value, ml_convolution_extremal
 from fracvar.solver import (
-    BracketFailureError,
+    AbnormalConstraintError,
     NoMinimizerError,
     Solution,
     SolverOptions,
@@ -19,7 +20,7 @@ from fracvar.solver import (
     solve_isoperimetric,
     solve_unconstrained,
 )
-from fracvar.variational import Discretization, Problem, constraint_value, discrete_gradient
+from fracvar.variational import Discretization, Problem, constraint_value, discrete_gradient, el_residual
 
 V2 = Lagrangian.parse("v^2")
 V = Lagrangian.parse("v")
@@ -356,7 +357,7 @@ class TestIsoperimetric:
             g=Lagrangian.parse("1"),
             xi=5.0,
         )
-        with pytest.raises(BracketFailureError):
+        with pytest.raises(AbnormalConstraintError):
             solve_isoperimetric(p)
 
 
@@ -449,3 +450,53 @@ class TestHessianReuse:
         assert calls["hessian"] == sol.iterations + 1
         # a Hessian indefinite on the way takes more than one try to factor
         assert calls["cho_factor"] >= sol.iterations + 1
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        ("v^4 + y^2", None),
+        ("v^2", "v"),
+        ("v^2", "y^2"),
+    ],
+)
+class TestOneDiscretization:
+    @staticmethod
+    def problem(f, g):
+        return Problem(
+            f=Lagrangian.parse(f),
+            k=0.7,
+            order=FracOrder(0.3),
+            grid=Grid(0.0, 1.0, 101),
+            ya=0.0,
+            yb=1.0,
+            g=None if g is None else Lagrangian.parse(g),
+            xi=None if g is None else 10.0,
+        )
+
+    @staticmethod
+    def solve(p):
+        sol = (solve_isoperimetric if p.constrained else solve_unconstrained)(p)
+        assert sol.converged
+        return sol
+
+    def test_assembles_operator_once(self, monkeypatch, f, g):
+        # the Newton steps and the certificate share one Discretization
+        calls = []
+        original = fracvar.variational.assemble_frac_operator
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fracvar.variational, "assemble_frac_operator", counted)
+        self.solve(self.problem(f, g))
+        assert len(calls) == 1
+
+    def test_residual_is_the_public_certificate(self, f, g):
+        p = self.problem(f, g)
+        sol = self.solve(p)
+        public = el_residual(p, sol.y, sol.lam)
+        assert np.array_equal(sol.residual.values.values, public.values.values)
+        assert sol.residual.norm_max_interior == public.norm_max_interior
+        assert sol.residual.norm_l2_interior == public.norm_l2_interior

@@ -46,7 +46,6 @@ def test_tracer_resolves_every_name():
     assert {
         "solver.solve_isoperimetric",
         "solver.AugmentedLagrangian",
-        "variational.el_residual",
         "variational.discrete_operators",
         "fracgrid.assemble_frac_operator",
     } <= names
