@@ -60,7 +60,7 @@ def _load_problem_file(path: str, n_override: int | None = None) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read problem file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"problem file is not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "problem file must be a JSON object")
     for key in doc:
@@ -174,7 +174,7 @@ def _read_trajectory_csv(path: str, grid: Grid) -> SampledFunction:
             reader = csv.reader(fh)
             header = next(reader, None)
             rows = [row for row in reader if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read trajectory CSV: {exc}") from exc
     _require(header is not None, "trajectory CSV is empty")
     _require(len(header) >= 2 and header[0] == "t" and header[1] == "y", "CSV must have columns t,y")

@@ -49,7 +49,10 @@ class ReferenceSpec:
 
 def _extremal_at(spec: ReferenceSpec, t: float) -> float:
     alpha = spec.order.alpha
-    return spec.xi * t * mittag_leffler(MLParams(1.0 - alpha, 2.0), -spec.k * t ** (1.0 - alpha))
+    y = spec.xi * t * mittag_leffler(MLParams(1.0 - alpha, 2.0), -spec.k * t ** (1.0 - alpha))
+    if not math.isfinite(y):
+        raise OverflowError(f"reference extremal overflows at t = {t!r}")
+    return y
 
 
 def ml_convolution_extremal(spec: ReferenceSpec) -> SampledFunction:

@@ -133,9 +133,12 @@ def _factor(hess: np.ndarray, grad_i: np.ndarray | None) -> tuple[tuple, bool]:
     that space; B + mu*I with the least mu in {0} and {mu0 * 10^j} shifts only
     the tangent part, and |B| <= (n + 1) scale ends the ladder.  Returns the
     factor with u, w and |grad_i|, and whether B is indefinite: mu0 = 1e-8
-    scale did not suffice (it only covers B >= 0)."""
+    scale did not suffice (it only covers B >= 0).  hess is consumed: each
+    try writes its upper triangle only, in place when hess is Fortran-ordered,
+    and a failed one is undone from the saved diagonal and the lower triangle."""
     scale = max(float(hess.max()), -float(hess.min()), np.finfo(float).tiny)
     mu0 = 1e-8 * scale
+    diag = hess.diagonal().copy()
     u = w = a_norm = None
     if grad_i is not None:
         a_norm = float(np.linalg.norm(grad_i))
@@ -145,14 +148,15 @@ def _factor(hess: np.ndarray, grad_i: np.ndarray | None) -> tuple[tuple, bool]:
         w = hess @ u
         z = w - 0.5 * (scale + float(np.dot(u, w))) * u  # B conditioned like hess along u too
     for mu in itertools.chain([0.0], (mu0 * 10.0**j for j in itertools.count())):
-        shifted = hess.copy(order="F")  # the layout LAPACK factors in place
         if u is not None:  # B's upper triangle, the only one cho_factor reads
-            shifted = scipy.linalg.blas.dsyr2(-1.0, u, z, a=shifted, overwrite_a=True)
-        shifted[np.diag_indices_from(hess)] += mu
+            hess = scipy.linalg.blas.dsyr2(-1.0, u, z, a=hess, overwrite_a=True)
+        hess[np.diag_indices_from(hess)] += mu
         try:
-            return (scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False), u, w, a_norm), mu > mu0
+            return (scipy.linalg.cho_factor(hess, overwrite_a=True, check_finite=False), u, w, a_norm), mu > mu0
         except scipy.linalg.LinAlgError:
-            del shifted  # not held while the next try's copy is made
+            hess[np.diag_indices_from(hess)] = diag
+            for j in range(1, len(diag)):
+                hess[:j, j] = hess[j, :j]
 
 
 def _newton_step(factor: tuple, cur: _Iterate) -> tuple[np.ndarray, float | None]:

@@ -157,25 +157,26 @@ class Discretization:
 
         Entry (i, j) of M^T W M sums over rows m >= max(i, j) - 2 of M only, so
         each column block c0:c1 of the upper triangle is a product over rows
-        from c0 - 2 on; the lower triangle is mirrored from the upper one,
-        column by column."""
+        from c0 - 2 on, of which a new Fortran-ordered matrix keeps the
+        interior entries; the lower triangle is mirrored from the upper one."""
         n, m = self.p.grid.n, self.m
         wvv = self.w * lagr.dvv(self.t, y, v)
-        hess = np.empty((n, n), order="F")
+        hess = np.empty((n - 2, n - 2), order="F")
         width = -(-n // _HESSIAN_BLOCKS)
         for c0 in range(0, n, width):
             c1 = min(c0 + width, n)
             r = max(c0 - 2, 0)
-            hess[:c1, c0:c1] = m[r:, :c1].T @ (wvv[r:, None] * m[r:, c0:c1])
+            j0, j1 = max(c0, 1), min(c1, n - 1)  # the block's interior columns
+            hess[:j1 - 1, j0 - 1:j1 - 1] = (m[r:, :c1].T @ (wvv[r:, None] * m[r:, c0:c1]))[1:j1, j0 - c0:j1 - c0]
         wyv = self.w * lagr.dyv(self.t, y, v)
         if np.any(wyv):
-            cross = wyv[:, None] * m
+            cross = wyv[1:-1, None] * m[1:-1, 1:-1]
             hess += cross
             hess += cross.T
-        hess[np.diag_indices(n)] += self.w * lagr.dyy(self.t, y, v)
-        for j in range(n - 1):
+        hess[np.diag_indices(n - 2)] += (self.w * lagr.dyy(self.t, y, v))[1:-1]
+        for j in range(n - 3):
             hess[j + 1:, j] = hess[j, j + 1:]
-        return hess[1:-1, 1:-1]
+        return hess
 
     def el_residual(self, y: np.ndarray, v: np.ndarray, lam: float | None) -> ELResidual:
         """Euler-Lagrange residual of H = F - lam*G (or plain F when lam is None):

@@ -155,6 +155,13 @@ class TestSchemaErrors:
         code, _, err = run(capsys, "solve", path)
         assert code == EXIT_SCHEMA
 
+    def test_problem_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"F": "v^2\xff"}')
+        code, out, err = run(capsys, "solve", path)
+        assert code == EXIT_SCHEMA
+        assert out == "" and err.startswith("error: problem file is not valid JSON") and err.count("\n") == 1
+
     def test_bad_alpha(self, tmp_path, capsys):
         # FracOrder refuses alpha outside (0, 1), and Grid an empty interval
         cases = [({"alpha": alpha}, "alpha") for alpha in (1.5, 0, 1)]
@@ -309,6 +316,15 @@ class TestDomainErrors:
         assert not (tmp_path / "problem.out.csv").exists()
         assert peak < 10 * 2**20
 
+    def test_auto_reference_overflows(self, tmp_path, capsys):
+        # y(b) of the reference extremal is beyond double precision: the
+        # user gave no yb, so the error names the reference, not the BCs
+        path = write_problem(tmp_path, G="v", xi=1e308, b=1e10, n=11, yb="auto-reference")
+        code, out, err = run(capsys, "solve", path)
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("error: reference extremal overflows at t = ") and err.count("\n") == 1
+        assert not (tmp_path / "problem.out.csv").exists()
+
 
 class TestResidual:
     def test_round_trip(self, tmp_path, capsys):
@@ -395,6 +411,15 @@ class TestResidual:
         assert code == EXIT_SCHEMA
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert message in err
+
+
+    def test_trajectory_csv_not_utf8(self, tmp_path, capsys):
+        path = write_problem(tmp_path, k=0.0, n=3)
+        traj = tmp_path / "y.csv"
+        traj.write_bytes(b"t,y\n0,0\n0.5,0.5\xff\n1,1\n")
+        code, out, err = run(capsys, "residual", path, "--y", traj)
+        assert code == EXIT_SCHEMA
+        assert out == "" and err.startswith("error: cannot read trajectory CSV") and err.count("\n") == 1
 
 
 class TestReference:
@@ -507,6 +532,16 @@ class TestReference:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Mittag-Leffler" in err
+
+    def test_overflowing_extremal(self, tmp_path, capsys):
+        # every Mittag-Leffler value is finite, but xi * t * E is not
+        out_csv = tmp_path / "ref.csv"
+        argv = ("reference", "--alpha", 0.5, "--k", 1, "--xi", 1e308, "--n", 5, "--b", 1e10)
+        for extra in ((), ("--out", out_csv)):
+            code, out, err = run(capsys, *argv, *extra)
+            assert code == EXIT_DOMAIN
+            assert out == "" and err.startswith("error: reference extremal overflows at t = ") and err.count("\n") == 1
+        assert not out_csv.exists()
 
 
 class TestConvergence:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 import warnings
 
@@ -344,7 +345,7 @@ class TestIsoperimetric:
         with pytest.raises(NoMinimizerError):
             solve_isoperimetric(p)
 
-    def test_bracket_failure(self):
+    def test_abnormal_constraint(self):
         # a constraint functional that does not depend on the trajectory can
         # never be steered by the multiplier
         p = Problem(
@@ -380,8 +381,8 @@ def test_tangent_definite_matches_null_space(seed, margin):
 
 @pytest.mark.parametrize("constrained", [False, True])
 def test_factor_holds_one_try(constrained):
-    # a shift ladder on an indefinite Hessian releases each failed try before
-    # copying the next: at most one copy lives next to the Hessian
+    # a C-ordered Hessian is still copied once per try, inside scipy, and a
+    # failed try is released before the next: at most one copy lives next to it
     rng = np.random.default_rng(0)
     b = rng.standard_normal((300, 300))
     hess = b + b.T
@@ -393,6 +394,69 @@ def test_factor_holds_one_try(constrained):
         tracemalloc.stop()
     assert indefinite
     assert peak <= 1.1 * hess.nbytes
+
+
+def _copy_per_try(hess, grad_i):
+    # the shift ladder on a fresh Fortran-ordered copy of hess for every try
+    scale = max(float(hess.max()), -float(hess.min()), np.finfo(float).tiny)
+    mu0 = 1e-8 * scale
+    u = None
+    if grad_i is not None:
+        u = grad_i / float(np.linalg.norm(grad_i))
+        w = hess @ u
+        z = w - 0.5 * (scale + float(np.dot(u, w))) * u
+    for mu in itertools.chain([0.0], (mu0 * 10.0**j for j in itertools.count())):
+        shifted = hess.copy(order="F")
+        if u is not None:
+            shifted = scipy.linalg.blas.dsyr2(-1.0, u, z, a=shifted, overwrite_a=True)
+        shifted[np.diag_indices_from(shifted)] += mu
+        try:
+            return scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False)[0], mu > mu0
+        except scipy.linalg.LinAlgError:
+            pass
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+def test_factor_in_place(constrained):
+    # a Fortran-ordered Hessian is factored in its own buffer: failed tries
+    # are undone from its diagonal and its strictly lower triangle, which no
+    # try writes, and the factor is the one a fresh copy per try gives
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal((300, 300))
+    hess = np.asfortranarray(b + b.T)
+    grad_i = rng.standard_normal(300) if constrained else None
+    expected, expected_indefinite = _copy_per_try(hess, grad_i)
+    lower = np.tril(hess, -1)
+    tracemalloc.start()
+    try:
+        factor, indefinite = _factor(hess, grad_i)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * hess.nbytes
+    assert np.shares_memory(factor[0][0], hess)
+    assert indefinite and indefinite == expected_indefinite
+    np.testing.assert_array_equal(factor[0][0], expected)
+    np.testing.assert_array_equal(np.tril(hess, -1), lower)
+
+
+@pytest.mark.parametrize("g, xi", [("v", 1.0), ("y^2", 40.0)])
+def test_solve_peak_memory(g, xi):
+    # L, M and the interior Hessian factored in its own buffer: about 3.2
+    # n x n matrices of doubles at the peak
+    n = 401
+    grid = Grid(0.0, 1.0, n)
+    # G = v is the criterion-4 problem, which ends at the reference extremal's y(b)
+    yb = boundary_value(ReferenceSpec(k=1.0, order=FracOrder(0.5), xi=xi, grid=grid)) if g == "v" else 1.0
+    p = Problem(V2, 1.0, FracOrder(0.5), grid, 0.0, yb, Lagrangian.parse(g), xi)
+    tracemalloc.start()
+    try:
+        sol = solve_isoperimetric(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.converged
+    assert peak <= 3.5 * 8 * n**2
 
 
 class TestHessianReuse:

@@ -183,6 +183,8 @@ class TestDiscreteOperators:
         hess = disc.hessian(p.f, y, v)
         assert np.max(np.abs(hess - dense[1:-1, 1:-1])) <= 1e-13 * np.max(np.abs(dense))
         np.testing.assert_array_equal(hess, hess.T)
+        # a buffer of its own that LAPACK factors in place
+        assert hess.flags.f_contiguous and hess.base is None
 
 
 class TestCombinedDerivative:
