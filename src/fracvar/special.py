@@ -1,5 +1,5 @@
-"""Scalar special functions: gamma and the complementary error function,
-which are math's, and the two-parameter Mittag-Leffler function.
+"""Special functions: gamma and the complementary error function, which are
+math's, and the two-parameter Mittag-Leffler function over arrays of real z.
 
 The Mittag-Leffler function E_{alpha,beta}(z) has two routes:
 
@@ -10,8 +10,11 @@ The Mittag-Leffler function E_{alpha,beta}(z) has two routes:
   and three parameter Mittag-Leffler functions", SIAM J. Numer. Anal. 53,
   2015).  The trapezoid rule runs on the parabolic contour
   s = mu (1 + iu)^2 (Weideman and Trefethen, Math. Comp. 76, 2007), placed
-  per argument between the singularities where it needs the fewest nodes,
-  and the residues of the poles to its right are added exactly.
+  between the singularities where it needs the fewest nodes, and the
+  residues of the poles to its right are added exactly.  For z < 0 and
+  alpha < 1 the transform has no pole on the principal sheet, so the
+  contour depends on (alpha, beta) alone and one contour serves every such
+  z; every other z places a contour of its own.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ _LOG_EPS = math.log(_EPS)
 _LOG_TOL = math.log(1e-15)
 #: e^s overflows double precision past this real part.
 _RE_MAX = 709.0
+#: z per block of the trapezoid sum, so that its complex temporary of
+#: 256 x (N + 1) <= 256 x 201 values stays under 1 MB at any number of z.
+_BLOCK = 256
 
 
 class MittagLefflerError(ArithmeticError):
@@ -61,32 +67,43 @@ class MLParams:
             )
 
 
-def mittag_leffler(p: MLParams, z: float) -> float:
-    """Evaluate sum_{j>=0} z^j / gamma(alpha*j + beta) for real z.
+def mittag_leffler(p: MLParams, z: float | np.ndarray) -> float | np.ndarray:
+    """Evaluate sum_{j>=0} z^j / gamma(alpha*j + beta) at each real z.
 
-    The series serves |z| <= 1/2 and the contour integral every other z.
-    For z < 0 the relative error is a few eps.  For z > 0 the value is
-    about e^(z^(1/alpha)) and its relative error about eps * z^(1/alpha),
-    the rounding of that exponent.  Past beta ~ 15 the contour's terms
-    outgrow the value, which loses digits: E_{1.5,20}(-5) is 2e-9 off.
-    MittagLefflerError is raised where the value overflows double precision.
+    A float z gives a float; an array of z gives an array of its shape.  The
+    series serves |z| <= 1/2 and the contour integral every other z.  For
+    z < 0 the relative error is a few eps.  For z > 0 the value is about
+    e^(z^(1/alpha)) and its relative error about eps * z^(1/alpha), the
+    rounding of that exponent.  Past beta ~ 15 the contour's terms outgrow
+    the value, which loses digits: E_{1.5,20}(-5) is 2e-9 off.
+    MittagLefflerError is raised where a value overflows double precision.
     """
-    if abs(z) <= 0.5:
-        return _series(p, z)
-    return _contour(p, z)
+    zs = np.asarray(z, dtype=float)
+    flat = zs.reshape(-1)
+    out = np.empty(flat.size)
+    series = np.abs(flat) <= 0.5
+    shared = ~series & (flat < 0.0) & (p.alpha < 1.0)
+    if series.any():
+        out[series] = _series(p, flat[series])
+    if shared.any():
+        out[shared] = _contour(p, flat[shared], [])
+    for i in np.flatnonzero(~(series | shared)):
+        out[i] = _contour(p, flat[i:i + 1], _poles(p, float(flat[i])))[0]
+    return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
-def _series(p: MLParams, z: float) -> float:
+def _series(p: MLParams, z: np.ndarray) -> np.ndarray:
     # for |z| <= 1/2 the term ratio |z| gamma(x) / gamma(x + alpha) is at
     # most 1 after the first term and falls from there, so the tail is
-    # within a few times the last term
-    total = 0.0
+    # within a few times the last term; each z stops at its own term
+    total = np.zeros(z.size)
+    live = np.arange(z.size)
     j = 0
-    while (x := p.alpha * j + p.beta) < _GAMMA_MAX:  # 1/gamma(x) underflows past it
-        term = z**j / math.gamma(x)
-        total += term
-        if j > 0 and abs(term) <= 0.25 * _EPS * abs(total):
-            break
+    while live.size and (x := p.alpha * j + p.beta) < _GAMMA_MAX:  # 1/gamma(x) underflows past it
+        term = z[live] ** j / math.gamma(x)
+        total[live] += term
+        if j > 0:
+            live = live[~(np.abs(term) <= 0.25 * _EPS * np.abs(total[live]))]
         j += 1
     return total
 
@@ -113,15 +130,17 @@ def _poles(p: MLParams, z: float) -> list[complex]:
     return poles
 
 
-def _contour(p: MLParams, z: float) -> float:
-    """E_{alpha,beta}(z) by the trapezoid rule on a parabolic contour."""
+def _contour(p: MLParams, z: np.ndarray, poles: list[complex]) -> np.ndarray:
+    """E_{alpha,beta} at each z by the trapezoid rule on one parabolic
+    contour, which needs the poles of the transform to be the same at every
+    z: those of a single z, or none."""
     # a pole s* bounds the parabolas that pass left of it by
     # phi = (Re s* + |s*|) / 2; poles with phi = 0 lie on the branch cut,
     # which every contour keeps to its left
     def phi_of(s: complex) -> float:
         return (s.real + abs(s)) / 2.0
 
-    poles = sorted((s for s in _poles(p, z) if phi_of(s) > 1e-15), key=phi_of)
+    poles = sorted((s for s in poles if phi_of(s) > 1e-15), key=phi_of)
     # singularities by phi: the origin, whose strength comes from the branch
     # point of s^(alpha-beta), then the simple poles; region j lies between
     # singularity j and j + 1, and on the contour through it e^s must stay
@@ -145,12 +164,21 @@ def _contour(p: MLParams, z: float) -> float:
         log_tol += math.log(10.0)
     u = h * np.arange(n + 1)
     s = mu * (1.0 + 1j * u) ** 2
-    f = np.exp(s) * s ** (p.alpha - p.beta) / (s**p.alpha - z) * (2.0 * mu * (1j - u))
-    # for real z the nodes at -u give the conjugates: f(-u) = -conj(f(u))
-    integral = h / (2.0 * math.pi) * (2.0 * f.imag.sum() - f[0].imag)
+    s_alpha = s**p.alpha
+    num = np.exp(s) * s ** (p.alpha - p.beta)
+    ds = 2.0 * mu * (1j - u)
+    integral = np.empty(z.size)
+    for b0 in range(0, z.size, _BLOCK):
+        f = s_alpha - z[b0:b0 + _BLOCK, None]
+        np.divide(num, f, out=f)
+        f *= ds
+        # for real z the nodes at -u give the conjugates: f(-u) = -conj(f(u))
+        integral[b0:b0 + _BLOCK] = 2.0 * f.imag.sum(axis=1) - f[:, 0].imag
+    integral *= h / (2.0 * math.pi)
     # the poles right of the contour
     residues = sum((s ** (1.0 - p.beta) * cmath.exp(s) for s in poles[j:]), 0j) / p.alpha
-    return integral + residues.real
+    integral += residues.real
+    return integral
 
 
 def _bounded_region(

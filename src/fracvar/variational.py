@@ -158,21 +158,25 @@ class Discretization:
         Entry (i, j) of M^T W M sums over rows m >= max(i, j) - 2 of M only, so
         each column block c0:c1 of the upper triangle is a product over rows
         from c0 - 2 on, of which a new Fortran-ordered matrix keeps the
-        interior entries; the lower triangle is mirrored from the upper one."""
+        interior entries; C and C^T are added block by block, so no n x n
+        temporary is made, and the lower triangle is mirrored from the upper
+        one."""
         n, m = self.p.grid.n, self.m
         wvv = self.w * lagr.dvv(self.t, y, v)
+        wyv = self.w * lagr.dyv(self.t, y, v)
+        has_cross = np.any(wyv)
         hess = np.empty((n - 2, n - 2), order="F")
         width = -(-n // _HESSIAN_BLOCKS)
         for c0 in range(0, n, width):
             c1 = min(c0 + width, n)
             r = max(c0 - 2, 0)
             j0, j1 = max(c0, 1), min(c1, n - 1)  # the block's interior columns
-            hess[:j1 - 1, j0 - 1:j1 - 1] = (m[r:, :c1].T @ (wvv[r:, None] * m[r:, c0:c1]))[1:j1, j0 - c0:j1 - c0]
-        wyv = self.w * lagr.dyv(self.t, y, v)
-        if np.any(wyv):
-            cross = wyv[1:-1, None] * m[1:-1, 1:-1]
-            hess += cross
-            hess += cross.T
+            block = hess[:j1 - 1, j0 - 1:j1 - 1]
+            block[...] = (m[r:, :c1].T @ (wvv[r:, None] * m[r:, c0:c1]))[1:j1, j0 - c0:j1 - c0]
+            if has_cross:
+                # C_ij = wyv_i M_ij and (C^T)_ij = wyv_j M_ji on the block alone
+                block += wyv[1:j1, None] * m[1:j1, j0:j1]
+                block += (wyv[j0:j1, None] * m[j0:j1, 1:j1]).T
         hess[np.diag_indices(n - 2)] += (self.w * lagr.dyy(self.t, y, v))[1:-1]
         for j in range(n - 3):
             hess[j + 1:, j] = hess[j, j + 1:]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,28 @@ class TestConvolutionExtremal:
             devs.append(float(np.max(np.abs(v[1:-1] - 1.0))))
         assert devs[0] > devs[1] > devs[2]
         assert devs[-1] <= 5e-3
+
+    def test_overflow_names_the_first_node(self):
+        # xi * t is beyond double precision from the second node, t = b/4, on
+        s = spec(xi=1e308, b=1e10, n=5)
+        with pytest.raises(OverflowError, match=r"^reference extremal overflows at t = 2500000000\.0$"):
+            ml_convolution_extremal(s)
+        with pytest.raises(OverflowError, match=r"^reference extremal overflows at t = 10000000000\.0$"):
+            boundary_value(s)
+
+    def test_peak_memory_is_linear_in_n(self):
+        # the shared contour's trapezoid sum runs in blocks of 256 nodes; at
+        # alpha = 0.9 its 37 contour nodes would make one n x 37 complex
+        # temporary of 59 MB, 74 x 8n bytes
+        n = 100001
+        tracemalloc.start()
+        try:
+            y = ml_convolution_extremal(spec(alpha=0.9, n=n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(y.values))
+        assert peak <= 8 * 8 * n
 
 
 class TestLimitFamilies:

@@ -459,6 +459,21 @@ def test_solve_peak_memory(g, xi):
     assert peak <= 3.5 * 8 * n**2
 
 
+def test_solve_peak_memory_with_cross_term():
+    # H_yv = 1 adds C + C^T to the Hessian block by block, with no n x n
+    # temporary of its own: the peak stays that of the solves above
+    n = 401
+    p = Problem(Lagrangian.parse("v^4+y*v+y^2"), 0.9, FracOrder(0.3), Grid(0.0, 1.0, n), 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        sol = solve_unconstrained(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.converged
+    assert peak <= 3.5 * 8 * n**2
+
+
 class TestHessianReuse:
     @staticmethod
     def count_calls(monkeypatch):

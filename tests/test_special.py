@@ -208,6 +208,60 @@ class TestMittagLeffler:
         assert value == pytest.approx(series_60_digits(alpha, beta, z), rel=1e-12)
 
 
+class TestArrays:
+    @pytest.mark.parametrize("alpha, beta", [(0.6, 2.0), (1.5, 1.0)])
+    def test_each_element_is_its_one_node_call(self, alpha, beta):
+        # all three routes in one array: the series (|z| <= 1/2), the contour
+        # that every z < -1/2 shares when alpha < 1, and a contour of its own
+        # for each other z (z > 1/2, as for k < 0 in the reference extremal);
+        # 2 * 256 + 3 elements cross the shared contour's blocks
+        p = MLParams(alpha, beta)
+        z = np.concatenate([[-0.0, 0.5, -0.5], np.linspace(-30.0, 3.0, 2 * 256)])
+        values = mittag_leffler(p, z)
+        assert values.shape == z.shape
+        assert values[0] == 1.0 / gamma(beta)
+        for zi, value in zip(z, values):
+            assert value == pytest.approx(mittag_leffler(p, float(zi)), rel=1e-13, abs=0.0)
+
+    def test_float_in_float_out(self):
+        p = MLParams(0.5, 2.0)
+        for z in (0.3, -2.0, 2.0, np.float64(-2.0)):
+            assert type(mittag_leffler(p, z)) is float
+        assert mittag_leffler(p, np.full((2, 3), -2.0)).shape == (2, 3)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 0.9, 0.999])
+    @pytest.mark.parametrize("k", [1.0, 3.0])
+    def test_reference_kernel_on_the_shared_contour(self, alpha, k):
+        # E_{1-alpha,2}(-k t^(1-alpha)) at five grid nodes past |z| = 1/2.
+        # Oracle: the series in 40-digit arithmetic, except where it needs
+        # over 10^4 terms (alpha = 0.999) or digits (alpha = 0.9, k = 3);
+        # there the Talbot inversion in 50-digit arithmetic
+        a = 1.0 - alpha
+        z = -k * np.float_power(np.linspace(0.0, 1.0, 21), a)
+        z = z[np.abs(z) > 0.5]
+        z = z[np.linspace(0, z.size - 1, 5).round().astype(int)]
+        oracle = talbot_50_digits if alpha == 0.999 or (alpha == 0.9 and k == 3.0) else series_40_digits
+        values = mittag_leffler(MLParams(a, 2.0), z)
+        for zi, value in zip(z, values):
+            assert value == pytest.approx(oracle(a, 2.0, float(zi)), rel=1e-13, abs=0.0)
+
+
+def series_40_digits(alpha, beta, z):
+    """The Mittag-Leffler series to 40 significant digits, with the double
+    parameters taken exactly: its terms peak near e^(|z|^(1/alpha)), so the
+    working precision carries the digits of that peak on top."""
+    digits = 40 + math.ceil(abs(z) ** (1.0 / alpha) / math.log(10.0))
+    with mpmath.workdps(digits):
+        a, b, zz = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
+        total = mpmath.mpf(0)
+        for j in range(10000):
+            term = zz**j * mpmath.rgamma(a * j + b)
+            total += term
+            if j > 10 and abs(term) < mpmath.mpf(10) ** -45 * abs(total):
+                return float(total)
+    raise AssertionError("oracle series did not converge")
+
+
 def series_60_digits(alpha, beta, z):
     """The Mittag-Leffler series summed in 60-digit arithmetic, with the double
     parameters taken exactly, until a term falls below 1e-70 of the sum."""
