@@ -6,7 +6,6 @@ from .fracgrid import (
     Grid,
     GridMismatchError,
     SampledFunction,
-    Side,
     assemble_frac_operator,
     gl_weights,
     trapezoid_integral,
@@ -32,7 +31,6 @@ __all__ = [
     "Grid",
     "GridMismatchError",
     "SampledFunction",
-    "Side",
     "assemble_frac_operator",
     "gl_weights",
     "trapezoid_integral",

@@ -128,8 +128,9 @@ def _build_problem(doc: dict) -> Problem:
 
 
 def _csv_text(header: list[str], columns) -> str:
-    lines = [",".join(header)] + [",".join(f"{float(x):.17g}" for x in row) for row in zip(*columns)]
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * len(header))  # on Python floats, the bytes of f"{x:.17g}"
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    return "\n".join([",".join(header)] + [row % values for values in rows]) + "\n"
 
 
 def _output_path(path: str | Path) -> Path:

@@ -1,39 +1,31 @@
 """Uniform grids, sampled functions, and discrete derivative operators.
 
-The fractional operators are first-order (unshifted) Grunwald-Letnikov
-discretizations of the left and right Riemann-Liouville derivatives of order
-0 < alpha < 1.  The left operator is one dense lower-triangular Toeplitz
-matrix of the GL weights (a discrete convolution); the right operator is its
-exact transpose, which callers that hold the left matrix take as the
-transposed view rather than a second matrix.  Row 0 of a left operator and
-row n-1 of a right operator are boundary rows: the continuous derivative is
-singular there whenever the function does not vanish at that endpoint, so
-callers exclude them from residual norms.  Operators act on node values by
-`op.weights @ values`; the classical stencil and the left boundary split act
-on node-value arrays too.
+The fractional operator is the first-order (unshifted) Grunwald-Letnikov
+discretization of the left Riemann-Liouville derivative of order
+0 < alpha < 1: one dense lower-triangular Toeplitz matrix of the GL weights
+(a discrete convolution), applied to node values as `op.weights @ values`.
+The right derivative, which only the Euler-Lagrange residual needs, is its
+exact transpose, taken as the transposed view.  Row 0 is a boundary row:
+the continuous derivative is singular there whenever the function does not
+vanish at the left endpoint, so callers exclude it from residual norms.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .special import gamma
-
 __all__ = [
     "GridMismatchError",
     "Grid",
     "SampledFunction",
     "FracOrder",
-    "Side",
     "FracOperator",
     "gl_weights",
     "assemble_frac_operator",
-    "split_left_derivative",
     "derivative_stencil",
     "trapezoid_integral",
     "variational_weights",
@@ -102,19 +94,10 @@ class FracOrder:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
 
-class Side(enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
 @dataclass(frozen=True, eq=False)
 class FracOperator:
-    """Dense triangular Grunwald-Letnikov matrix for one side and order
-    (lower-triangular Toeplitz for the left side, its transpose for the right)."""
+    """Dense lower-triangular Toeplitz Grunwald-Letnikov matrix of the left derivative."""
 
-    grid: Grid
-    order: FracOrder
-    side: Side
     weights: np.ndarray
 
 
@@ -126,38 +109,14 @@ def gl_weights(order: FracOrder, count: int) -> np.ndarray:
     return np.cumprod(np.r_[1.0, 1.0 - (order.alpha + 1.0) / np.arange(1, count)])
 
 
-def assemble_frac_operator(grid: Grid, order: FracOrder, side: Side) -> FracOperator:
+def assemble_frac_operator(grid: Grid, order: FracOrder) -> FracOperator:
     if grid.n**2 > np.iinfo(np.intp).max // 8:
         # refused before anything is allocated: numpy cannot index the matrix
         raise MemoryError("the n x n matrix of doubles is too large to index")
     w = gl_weights(order, grid.n) / grid.h**order.alpha
     mat = scipy.linalg.toeplitz(w, np.zeros(grid.n))
-    if side is Side.RIGHT:
-        mat = mat.T.copy()
     mat.flags.writeable = False
-    return FracOperator(grid=grid, order=order, side=side, weights=mat)
-
-
-def split_left_derivative(op: FracOperator, values: np.ndarray) -> np.ndarray:
-    """Left derivative of the node values of a function on op's grid, with the
-    nonzero-boundary split.
-
-    The plain GL sum converges slowly through the singular part generated by a
-    nonzero left boundary value; splitting f = f(a) + (f - f(a)) and adding the
-    analytic derivative of the constant, f(a) * (t-a)^(-alpha) / Gamma(1-alpha),
-    restores accuracy at interior nodes.  Node 0 keeps the plain GL value
-    (the continuous derivative is infinite there when f(a) != 0).
-    """
-    if op.side is not Side.LEFT:
-        raise ValueError("boundary split applies to left operators only")
-    fa = values[0]
-    out = op.weights @ (values - fa)
-    if fa != 0.0:
-        alpha = op.order.alpha
-        t = op.grid.nodes()
-        out[1:] += fa * (t[1:] - op.grid.a) ** (-alpha) / gamma(1.0 - alpha)
-        out[0] = op.weights[0, 0] * fa
-    return out
+    return FracOperator(weights=mat)
 
 
 def derivative_stencil(x: np.ndarray, h: float) -> np.ndarray:

@@ -1,15 +1,17 @@
 """Semi-analytic reference extremals for the quadratic isoperimetric family.
 
-The extremal is the convolution
+On [0, b] the constraint integral_0^b v dt = xi holds with v = xi / b
+everywhere, and the extremal is the convolution
 
-    y(t) = xi * integral_0^t E_{1-alpha,1}(-k * s^(1-alpha)) ds.
+    y(t) = (xi / b) * integral_0^t E_{1-alpha,1}(-k * s^(1-alpha)) ds.
 
 Integrating the kernel series term by term gives its closed form
 
-    y(t) = xi * t * E_{1-alpha,2}(-k * t^(1-alpha)),
+    y(t) = xi * (t / b) * E_{1-alpha,2}(-k * t^(1-alpha)),
 
-evaluated at all nodes by one Mittag-Leffler call, and y(0) = 0.  The tests
-check it against adaptive quadrature of the convolution.  For k = 1 its
+evaluated at all nodes by one Mittag-Leffler call, and y(0) = 0.  Dividing
+t, not xi, by b keeps xi / b from overflowing.  The tests check it against
+adaptive quadrature of the convolution.  For k = 1 and b = 1 its
 alpha -> 0 limit is 1 - e^{-t}, approached at first order in alpha.
 """
 
@@ -48,14 +50,14 @@ class ReferenceSpec:
 
 
 def _extremal(spec: ReferenceSpec, t: np.ndarray) -> np.ndarray:
-    """xi * t * E_{1-alpha,2}(-k * t^(1-alpha)) at the nodes t."""
+    """xi * (t / b) * E_{1-alpha,2}(-k * t^(1-alpha)) at the nodes t."""
     alpha = spec.order.alpha
     # float_power rounds as the C library's pow, which Python floats use, so
     # z does not depend on whether t is one node or the whole grid
     z = -spec.k * np.float_power(t, 1.0 - alpha)
     e = mittag_leffler(MLParams(1.0 - alpha, 2.0), z)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = spec.xi * t * e
+        y = spec.xi * (t / spec.grid.b) * e
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise OverflowError(f"reference extremal overflows at t = {float(t[bad[0]])!r}")

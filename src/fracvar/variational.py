@@ -3,12 +3,13 @@ functional and constraint values, the Euler-Lagrange residual, and the discrete
 gradient (first variation) with respect to interior node values.
 
 All of them, and the solver, go through one `Discretization` of the problem,
-which owns its left GL matrix L (freed with it): v = D_c y + k L y with the
-boundary split, quadratures of the Lagrangian, its gradient and Hessian
-through the dense M = D_c + k L, whose rows end two columns right of the
-diagonal, and the Euler-Lagrange residual.  The right operator is L's
-transpose.  The public functions build a Discretization per call; a solve
-builds one, and its certificate reads the same one.
+which owns its left GL matrix L (freed with it) and is the one place where
+D^alpha acts on node values: `frac` is L y with the boundary split, and
+v = D_c y + k `frac`(y).  It also holds the quadratures of the Lagrangian,
+its gradient and Hessian through the dense M = D_c + k L, whose rows end two
+columns right of the diagonal, and the Euler-Lagrange residual, whose right
+operator is L's transpose.  The public functions build a Discretization per
+call; a solve builds one, and its certificate reads the same one.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from .fracgrid import (
     Grid,
     GridMismatchError,
     SampledFunction,
-    Side,
     assemble_frac_operator,
     derivative_stencil,
-    split_left_derivative,
     variational_weights,
 )
 from .lagrange_dsl import AugmentedLagrangian, Lagrangian
+from .special import gamma
 
 __all__ = [
     "MissingConstraintError",
@@ -108,7 +108,7 @@ _HESSIAN_BLOCKS = 8
 
 def discrete_operators(grid: Grid, order: FracOrder) -> FracOperator:
     """The left GL operator, whose transpose is the right one; each call assembles its own."""
-    return assemble_frac_operator(grid, order, Side.LEFT)
+    return assemble_frac_operator(grid, order)
 
 
 class Discretization:
@@ -121,13 +121,26 @@ class Discretization:
         self.left = discrete_operators(p.grid, p.order)
         self.p, self.t, self.w = p, p.grid.nodes(), variational_weights(p.grid)
 
-    def pieces(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """y' by the classical stencil and D^alpha y with the boundary split."""
-        return derivative_stencil(y, self.p.grid.h), split_left_derivative(self.left, y)
+    def frac(self, y: np.ndarray) -> np.ndarray:
+        """D^alpha y with the nonzero-boundary split.
+
+        The plain GL sum converges slowly through the singular part generated
+        by a nonzero left boundary value; splitting y = y(a) + (y - y(a)) and
+        adding the analytic derivative of the constant,
+        y(a) * (t-a)^(-alpha) / Gamma(1-alpha), restores accuracy at interior
+        nodes.  Node 0 keeps the plain GL value (the continuous derivative is
+        infinite there when y(a) != 0).
+        """
+        fa = y[0]
+        out = self.left.weights @ (y - fa)
+        if fa != 0.0:
+            alpha = self.p.order.alpha
+            out[1:] += fa * (self.t[1:] - self.p.grid.a) ** (-alpha) / gamma(1.0 - alpha)
+            out[0] = self.left.weights[0, 0] * fa
+        return out
 
     def v(self, y: np.ndarray) -> np.ndarray:
-        yprime, frac = self.pieces(y)
-        return yprime + self.p.k * frac
+        return derivative_stencil(y, self.p.grid.h) + self.p.k * self.frac(y)
 
     @cached_property
     def m(self) -> np.ndarray:
@@ -211,7 +224,7 @@ def _check_grid(p: Problem, y: SampledFunction) -> None:
 def combined_derivative(p: Problem, y: SampledFunction) -> CombinedDerivative:
     """Evaluate v = y' + k * left fractional derivative (with boundary split)."""
     _check_grid(p, y)
-    yprime, frac = Discretization(p).pieces(y.values)
+    yprime, frac = derivative_stencil(y.values, p.grid.h), Discretization(p).frac(y.values)
     return CombinedDerivative(
         v=SampledFunction(p.grid, yprime + p.k * frac),
         yprime=SampledFunction(p.grid, yprime),

@@ -8,15 +8,15 @@ from fracvar.fracgrid import (
     FracOrder,
     Grid,
     SampledFunction,
-    Side,
     assemble_frac_operator,
     derivative_stencil,
     gl_weights,
-    split_left_derivative,
     trapezoid_integral,
     variational_weights,
 )
+from fracvar.lagrange_dsl import Lagrangian
 from fracvar.special import gamma
+from fracvar.variational import Discretization, Problem
 
 
 def sampled(grid, fn):
@@ -80,18 +80,10 @@ class TestGLWeights:
 class TestFracOperator:
     def test_triangular_structure(self):
         g = Grid(0.0, 1.0, 8)
-        left = assemble_frac_operator(g, FracOrder(0.4), Side.LEFT)
-        right = assemble_frac_operator(g, FracOrder(0.4), Side.RIGHT)
+        left = assemble_frac_operator(g, FracOrder(0.4))
+        right = left.weights.T
         assert np.all(np.triu(left.weights, 1) == 0.0)
-        assert np.all(np.tril(right.weights, -1) == 0.0)
-        with pytest.raises(ValueError, match="left operators only"):
-            split_left_derivative(right, np.ones(g.n))
-
-    def test_adjoint_structure(self):
-        g = Grid(0.0, 1.0, 32)
-        left = assemble_frac_operator(g, FracOrder(0.6), Side.LEFT)
-        right = assemble_frac_operator(g, FracOrder(0.6), Side.RIGHT)
-        np.testing.assert_array_equal(right.weights, left.weights.T)
+        assert np.all(np.tril(right, -1) == 0.0)
 
     def test_power_function_at_endpoint(self):
         # left half-derivative of t on [0,1] at t=1 is Gamma(2)/Gamma(1.5) = 2/sqrt(pi)
@@ -100,7 +92,7 @@ class TestFracOperator:
         errs = []
         for n in (501, 1001, 2001):
             g = Grid(0.0, 1.0, n)
-            op = assemble_frac_operator(g, FracOrder(0.5), Side.LEFT)
+            op = assemble_frac_operator(g, FracOrder(0.5))
             approx = (op.weights @ g.nodes())[-1]
             errs.append(abs(approx - exact))
         assert errs[0] > errs[1] > errs[2]
@@ -108,7 +100,7 @@ class TestFracOperator:
 
     def test_zero_function(self):
         g = Grid(0.0, 1.0, 21)
-        op = assemble_frac_operator(g, FracOrder(0.5), Side.LEFT)
+        op = assemble_frac_operator(g, FracOrder(0.5))
         out = op.weights @ np.zeros(g.n)
         assert np.all(out == 0.0)
 
@@ -116,8 +108,8 @@ class TestFracOperator:
         # left half-derivative of 1 is t^(-1/2)/Gamma(1/2); checked at interior
         # nodes via the boundary split
         g = Grid(0.0, 1.0, 2001)
-        op = assemble_frac_operator(g, FracOrder(0.5), Side.LEFT)
-        out = split_left_derivative(op, np.ones(g.n))
+        p = Problem(f=Lagrangian.parse("v^2"), k=1.0, order=FracOrder(0.5), grid=g, ya=1.0, yb=1.0)
+        out = Discretization(p).frac(np.ones(g.n))
         t = g.nodes()
         exact = t[1:] ** (-0.5) / gamma(0.5)
         np.testing.assert_allclose(out[1:], exact, rtol=1e-12)
@@ -127,14 +119,14 @@ class TestFracOperator:
         # the split exists because the raw GL sum converges only slowly
         # through the singular part
         g = Grid(0.0, 1.0, 2001)
-        op = assemble_frac_operator(g, FracOrder(0.5), Side.LEFT)
+        op = assemble_frac_operator(g, FracOrder(0.5))
         raw = op.weights @ np.ones(g.n)
         exact = 1.0 / gamma(0.5)
         assert abs(raw[-1] - exact) > 1e-5
 
     def test_linearity(self):
         g = Grid(0.0, 2.0, 64)
-        op = assemble_frac_operator(g, FracOrder(0.3), Side.LEFT)
+        op = assemble_frac_operator(g, FracOrder(0.3))
         t = g.nodes()
         f1, f2 = np.sin(t), t**2
         lhs = op.weights @ (2.0 * f1 + 3.0 * f2)
@@ -144,7 +136,7 @@ class TestFracOperator:
     def test_alpha_near_one_matches_classical(self):
         g = Grid(0.0, 1.0, 501)
         y = np.sin(np.pi * g.nodes())
-        op = assemble_frac_operator(g, FracOrder(1.0 - 1e-3), Side.LEFT)
+        op = assemble_frac_operator(g, FracOrder(1.0 - 1e-3))
         frac = op.weights @ y
         classical = derivative_stencil(y, g.h)
         assert np.max(np.abs(frac[1:] - classical[1:])) <= 2e-2
@@ -157,7 +149,7 @@ class TestFracOperator:
         for n in (251, 501, 1001):
             g = Grid(0.0, 1.0, n)
             t = g.nodes()
-            op = assemble_frac_operator(g, FracOrder(alpha), Side.LEFT)
+            op = assemble_frac_operator(g, FracOrder(alpha))
             approx = op.weights @ (t**2)
             exact = gamma(3.0) / gamma(3.0 - alpha) * t ** (2.0 - alpha)
             errs.append(np.max(np.abs(approx[1:-1] - exact[1:-1])))
@@ -177,10 +169,10 @@ class TestIntegrationByParts:
             t = g.nodes()
             f = SampledFunction(g, t * (1.0 - t))
             q = SampledFunction(g, (t * (1.0 - t)) ** 2)
-            left = assemble_frac_operator(g, FracOrder(alpha), Side.LEFT)
-            right = assemble_frac_operator(g, FracOrder(alpha), Side.RIGHT)
+            left = assemble_frac_operator(g, FracOrder(alpha))
+            right = left.weights.T
             lhs = trapezoid_integral(SampledFunction(g, f.values * (left.weights @ q.values)))
-            rhs = trapezoid_integral(SampledFunction(g, q.values * (right.weights @ f.values)))
+            rhs = trapezoid_integral(SampledFunction(g, q.values * (right @ f.values)))
             mismatches.append(abs(lhs - rhs))
         assert mismatches[-1] <= 1e-3
         for a, b in zip(mismatches, mismatches[1:]):

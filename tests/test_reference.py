@@ -47,12 +47,14 @@ class TestConvolutionExtremal:
         y = ml_convolution_extremal(spec(alpha=0.7, k=1.0))
         assert np.all(np.diff(y.values) > 0.0)
 
-    def test_defining_relation(self):
-        # the combined derivative of the extremal equals xi up to the
-        # discretization error of the operators
+    @pytest.mark.parametrize("b", [1.0, 0.5, 2.0])
+    def test_defining_relation(self, b):
+        # the combined derivative of the extremal equals xi / b, so that its
+        # integral over [0, b] is xi, up to the discretization error of the
+        # operators
         devs = []
         for n in (501, 1001, 2001):
-            s = spec(n=n)
+            s = spec(n=n, b=b)
             y = ml_convolution_extremal(s)
             p = Problem(
                 f=Lagrangian.parse("v^2"),
@@ -63,17 +65,31 @@ class TestConvolutionExtremal:
                 yb=float(y.values[-1]),
             )
             v = combined_derivative(p, y).v.values
-            devs.append(float(np.max(np.abs(v[1:-1] - 1.0))))
+            devs.append(float(np.max(np.abs(v[1:-1] - 1.0 / b))))
         assert devs[0] > devs[1] > devs[2]
         assert devs[-1] <= 5e-3
 
     def test_overflow_names_the_first_node(self):
-        # xi * t is beyond double precision from the second node, t = b/4, on
-        s = spec(xi=1e308, b=1e10, n=5)
-        with pytest.raises(OverflowError, match=r"^reference extremal overflows at t = 2500000000\.0$"):
+        # with k = -3, E_{1/2,2}(3 sqrt(t)) grows past 1/t from t = 0.5 on, so
+        # xi * t * E is beyond double precision from the third node
+        s = spec(k=-3.0, xi=1e308, n=5)
+        with pytest.raises(OverflowError, match=r"^reference extremal overflows at t = 0\.5$"):
             ml_convolution_extremal(s)
-        with pytest.raises(OverflowError, match=r"^reference extremal overflows at t = 10000000000\.0$"):
+        with pytest.raises(OverflowError, match=r"^reference extremal overflows at t = 1\.0$"):
             boundary_value(s)
+
+    def test_unit_interval_bytes(self):
+        # at b = 1, t / b is t, so the values are those of xi * t * E
+        s = spec(alpha=0.3, k=2.0, xi=0.7, n=101)
+        t = s.grid.nodes()
+        e = mittag_leffler(MLParams(1.0 - 0.3, 2.0), -2.0 * np.float_power(t, 1.0 - 0.3))
+        assert np.array_equal(ml_convolution_extremal(s).values, 0.7 * t * e)
+
+    def test_no_overflow_of_xi_over_b(self):
+        # xi / b would overflow for a small b; t / b does not
+        s = spec(k=0.0, xi=1e308, n=5, b=0.5)
+        y = ml_convolution_extremal(s)
+        assert np.all(np.isfinite(y.values)) and y.values[-1] == 1e308
 
     def test_peak_memory_is_linear_in_n(self):
         # the shared contour's trapezoid sum runs in blocks of 256 nodes; at

@@ -265,6 +265,18 @@ class TestIsoperimetric:
         for lam in lams:
             assert lam == pytest.approx(2.0, abs=5e-2)
 
+    @pytest.mark.parametrize("b", [0.5, 2.0])
+    def test_reference_off_the_unit_interval(self, b):
+        # on [0, b] the extremal has v = xi / b, so lambda = 2 xi / b
+        grid = Grid(0.0, b, 801)
+        spec = ReferenceSpec(k=1.0, order=FracOrder(0.5), xi=1.0, grid=grid)
+        y_ref = ml_convolution_extremal(spec)
+        p = quadratic_problem(0.5, 1.0, 801, float(y_ref.values[-1]), xi=1.0, b=b)
+        sol = solve_isoperimetric(p)
+        assert sol.converged
+        assert sol.lam == pytest.approx(2.0 / b, rel=1e-2)
+        assert np.max(np.abs(sol.y.values - y_ref.values)) <= 1e-3
+
     def test_multiplier_scales_with_xi(self):
         grid = Grid(0.0, 1.0, 301)
         lams = {}

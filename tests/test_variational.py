@@ -12,12 +12,13 @@ from fracvar.fracgrid import (
     Grid,
     GridMismatchError,
     SampledFunction,
-    Side,
     assemble_frac_operator,
+    derivative_stencil,
 )
 from fracvar.lagrange_dsl import AugmentedLagrangian, Lagrangian
 from fracvar.reference import ReferenceSpec, ml_convolution_extremal
 from fracvar.solver import solve_isoperimetric
+from fracvar.special import gamma
 from fracvar.variational import (
     BoundaryMismatchError,
     Discretization,
@@ -133,7 +134,7 @@ class TestDiscreteOperators:
         # M = D_c + k L, with D_c from the stencil of the identity
         for k in (0.8, 0.0, -0.6):
             p = make_problem(k=k, alpha=0.35, n=41)
-            left = assemble_frac_operator(p.grid, p.order, Side.LEFT).weights
+            left = assemble_frac_operator(p.grid, p.order).weights
             np.testing.assert_array_equal(
                 Discretization(p).m, dense_difference_matrix(p.grid) + k * left
             )
@@ -175,7 +176,7 @@ class TestDiscreteOperators:
         t = p.grid.nodes()
         y = t + 0.3 * np.sin(math.pi * t)
         v = disc.v(y)
-        m = dense_difference_matrix(p.grid) + k * assemble_frac_operator(p.grid, p.order, Side.LEFT).weights
+        m = dense_difference_matrix(p.grid) + k * assemble_frac_operator(p.grid, p.order).weights
         w = p.grid.h * np.r_[0.25, 1.25, np.ones(n - 4), 1.25, 0.25]
         cross = (w * p.f.dyv(t, y, v))[:, None] * m
         dense = m.T @ ((w * p.f.dvv(t, y, v))[:, None] * m) + cross + cross.T
@@ -209,6 +210,20 @@ class TestCombinedDerivative:
         np.testing.assert_allclose(
             cd.v.values, cd.yprime.values + 2.0 * cd.frac.values, rtol=1e-14
         )
+
+    def test_v_is_the_boundary_split(self):
+        # D^alpha y is L (y - ya) plus the derivative of the constant ya,
+        # ya (t-a)^(-alpha) / Gamma(1-alpha), at interior nodes, and L_00 ya at node 0
+        ya, k, alpha = 0.3, 0.7, 0.3
+        p = make_problem(k=k, alpha=alpha, n=41, ya=ya)
+        t = p.grid.nodes()
+        y = ya + (1.0 - ya) * t + 0.2 * np.sin(math.pi * t)
+        y[0] = ya
+        left = assemble_frac_operator(p.grid, p.order).weights
+        frac = left @ (y - ya)
+        frac[1:] += ya * (t[1:] - p.grid.a) ** (-alpha) / gamma(1.0 - alpha)
+        frac[0] = left[0, 0] * ya
+        assert np.array_equal(Discretization(p).v(y), derivative_stencil(y, p.grid.h) + k * frac)
 
     def test_grid_mismatch(self):
         p = make_problem(n=101)
@@ -290,7 +305,7 @@ class TestELResidual:
         y = on_grid(p, lambda t: ya + (1.0 - ya) * t + 0.2 * np.sin(math.pi * t))
         v = combined_derivative(p, y).v.values
         h = AugmentedLagrangian(p.f, p.g, 1.5)
-        right = assemble_frac_operator(p.grid, p.order, Side.RIGHT).weights
+        right = assemble_frac_operator(p.grid, p.order).weights.T
         d3 = h.dv(t, y.values, v)
         want = h.dy(t, y.values, v) - dense_difference_matrix(p.grid) @ d3 + p.k * (right @ d3)
         got = el_residual(p, y, lam=1.5).values.values
