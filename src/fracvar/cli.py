@@ -7,8 +7,9 @@ significant digits so runs are byte-reproducible.
 
 Exit codes: 0 success/converged, 2 parse/schema/precondition error,
 3 solver non-convergence, no minimizer, or an abnormal (multiplier-free)
-constraint, 4 numeric domain error, or out of memory (the dense operators
-grow as n^2, a reference as n).
+constraint, 4 numeric domain error, or out of memory: only a solve holds
+n x n arrays, and it is refused before it makes them where they would not
+fit; a residual and a reference grow as n.
 """
 
 from __future__ import annotations
@@ -323,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SCHEMA
     except MemoryError as exc:
         # the array's owner, or numpy, names what did not fit
-        what = str(exc) or "the dense operators grow as n^2"
+        what = str(exc) or "a solve's dense arrays grow as n^2"
         print(f"error: out of memory: {what}; use a smaller n", file=sys.stderr)
         return EXIT_DOMAIN
 

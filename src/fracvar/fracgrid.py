@@ -2,21 +2,22 @@
 
 The fractional operator is the first-order (unshifted) Grunwald-Letnikov
 discretization of the left Riemann-Liouville derivative of order
-0 < alpha < 1: one dense lower-triangular Toeplitz matrix of the GL weights
-(a discrete convolution), applied to node values as `op.weights @ values`.
-The right derivative, which only the Euler-Lagrange residual needs, is its
-exact transpose, taken as the transposed view.  Row 0 is a boundary row:
-the continuous derivative is singular there whenever the function does not
-vanish at the left endpoint, so callers exclude it from residual norms.
+0 < alpha < 1: the lower-triangular Toeplitz matrix L of the scaled GL
+weights, a discrete convolution.  Only its first column, the n weights, is
+stored; L x and L^T x are FFT convolutions, O(n log n) time and O(n)
+memory.  The right derivative, which only the Euler-Lagrange residual
+needs, is the exact transpose L^T.  Row 0 is a boundary row: the continuous
+derivative is singular there whenever the function does not vanish at the
+left endpoint, so callers exclude it from residual norms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "GridMismatchError",
@@ -27,6 +28,7 @@ __all__ = [
     "gl_weights",
     "assemble_frac_operator",
     "derivative_stencil",
+    "derivative_stencil_transpose",
     "trapezoid_integral",
     "variational_weights",
 ]
@@ -51,15 +53,15 @@ class Grid:
             raise ValueError(f"need finite a, b and b - a, got a={self.a!r}, b={self.b!r}")
         if self.n < 3:
             raise ValueError(f"n must be >= 3, got n={self.n!r}")
+        if self.n > np.iinfo(np.intp).max // 8:
+            # refused before anything is allocated: numpy cannot index an array of n doubles
+            raise MemoryError("the n node values are too many to index")
 
     @property
     def h(self) -> float:
         return (self.b - self.a) / (self.n - 1)
 
     def nodes(self) -> np.ndarray:
-        if self.n > np.iinfo(np.intp).max // 8:
-            # refused before anything is allocated: numpy cannot index the array
-            raise MemoryError("the n node values are too many to index")
         return np.linspace(self.a, self.b, self.n)
 
 
@@ -96,9 +98,26 @@ class FracOrder:
 
 @dataclass(frozen=True, eq=False)
 class FracOperator:
-    """Dense lower-triangular Toeplitz Grunwald-Letnikov matrix of the left derivative."""
+    """The lower-triangular Toeplitz Grunwald-Letnikov matrix L of the left
+    derivative, held as its first column `weights` (read-only): L_ij = weights[i - j]."""
 
     weights: np.ndarray
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """The real FFT of the weights, zero-padded to a power of two >= 2n - 1,
+        so that the circular convolution of two length-n vectors does not wrap."""
+        size = 1 << (2 * len(self.weights) - 2).bit_length()
+        return np.fft.rfft(self.weights, size)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """L x: the first n terms of the convolution of the weights with x."""
+        size = 2 * (len(self._spectrum) - 1)
+        return np.fft.irfft(self._spectrum * np.fft.rfft(x, size), size)[: len(x)]
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """L^T x = J L J x, with J the reversal of the node order."""
+        return self.matvec(x[::-1])[::-1]
 
 
 def gl_weights(order: FracOrder, count: int) -> np.ndarray:
@@ -110,13 +129,10 @@ def gl_weights(order: FracOrder, count: int) -> np.ndarray:
 
 
 def assemble_frac_operator(grid: Grid, order: FracOrder) -> FracOperator:
-    if grid.n**2 > np.iinfo(np.intp).max // 8:
-        # refused before anything is allocated: numpy cannot index the matrix
-        raise MemoryError("the n x n matrix of doubles is too large to index")
+    """L for the grid and order: the n scaled weights, gl_weights / h^alpha."""
     w = gl_weights(order, grid.n) / grid.h**order.alpha
-    mat = scipy.linalg.toeplitz(w, np.zeros(grid.n))
-    mat.flags.writeable = False
-    return FracOperator(weights=mat)
+    w.flags.writeable = False
+    return FracOperator(weights=w)
 
 
 def derivative_stencil(x: np.ndarray, h: float) -> np.ndarray:
@@ -128,6 +144,17 @@ def derivative_stencil(x: np.ndarray, h: float) -> np.ndarray:
     out[0] = (-3.0 * x[0] + 4.0 * x[1] - x[2]) / (2.0 * h)
     out[-1] = (3.0 * x[-1] - 4.0 * x[-2] + x[-3]) / (2.0 * h)
     return out
+
+
+def derivative_stencil_transpose(g: np.ndarray, h: float) -> np.ndarray:
+    """D_c^T g for node values g: each row of the stencil sends its entries,
+    times g at the row's node, to the row's columns."""
+    out = np.zeros_like(g, dtype=float)
+    out[:-2] -= g[1:-1]
+    out[2:] += g[1:-1]
+    out[:3] += np.array([-3.0, 4.0, -1.0]) * g[0]
+    out[-3:] += np.array([1.0, -4.0, 3.0]) * g[-1]
+    return out / (2.0 * h)
 
 
 def trapezoid_integral(f: SampledFunction) -> float:

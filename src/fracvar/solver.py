@@ -13,7 +13,9 @@ boundary values, steps backtrack on J (Armijo) or, with a constraint, on the
 KKT residual, until the residuals reach min(tol, 1e-12) or a full step
 changes J only by roundoff and does not halve them.  The steps and the final
 iterate's Euler-Lagrange residual use one Discretization, so a solve
-assembles the GL operator once.
+assembles the GL operator once.  A solve holds about 2.25 n x n arrays of
+doubles (M, the Hessian and a column block of its products), so it is
+refused up front, with a MemoryError, where they would not fit.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import resource
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,10 +239,47 @@ def _newton(disc: Discretization, opts: SolverOptions) -> tuple[_Iterate, int, b
     return cur, iters, stationary
 
 
+def _proc_kib(path: str, key: str, default: float) -> float:
+    """The value of a `key:` line of a /proc file, in KiB, or default where there is none."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith(key + ":"):
+                    return float(line.split()[1])
+    except OSError:
+        pass
+    return default
+
+
+def _memory_available() -> float:
+    """Bytes this process can still allocate: the least of the system's
+    MemAvailable and the address-space limit less what the process has
+    mapped; inf where neither is known."""
+    avail = 1024.0 * _proc_kib("/proc/meminfo", "MemAvailable", math.inf)
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY:
+        avail = min(avail, limit - 1024.0 * _proc_kib("/proc/self/status", "VmSize", 0.0))
+    return avail
+
+
+def _check_memory(n: int) -> None:
+    """Refuse a solve whose dense arrays would not fit before it makes them:
+    the kernel's out-of-memory kill would leave no exit code and no message.
+    The solve's peak is about 2.25 n x n arrays and 64 arrays of n doubles."""
+    need = 8.0 * (2.25 * n * n + 64.0 * n)
+    avail = _memory_available()
+    if need > avail:
+        raise MemoryError(
+            f"a solve at n = {n} holds about {need / 2**20:.0f} MB of dense n x n arrays, "
+            f"and {max(avail, 0.0) / 2**20:.0f} MB are available"
+        )
+
+
 def _solve(p: Problem, opts: SolverOptions) -> Solution:
     # an overflow in a trial point is a rejected step, never a warning
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         disc = Discretization(p)
+        _check_memory(p.grid.n)
         cur, iters, converged = _newton(disc, opts)
     return Solution(
         y=SampledFunction(p.grid, cur.y),

@@ -3,13 +3,15 @@ functional and constraint values, the Euler-Lagrange residual, and the discrete
 gradient (first variation) with respect to interior node values.
 
 All of them, and the solver, go through one `Discretization` of the problem,
-which owns its left GL matrix L (freed with it) and is the one place where
-D^alpha acts on node values: `frac` is L y with the boundary split, and
-v = D_c y + k `frac`(y).  It also holds the quadratures of the Lagrangian,
-its gradient and Hessian through the dense M = D_c + k L, whose rows end two
-columns right of the diagonal, and the Euler-Lagrange residual, whose right
-operator is L's transpose.  The public functions build a Discretization per
-call; a solve builds one, and its certificate reads the same one.
+which owns its left GL operator L, n weights applied by FFT, and is the one
+place where D^alpha acts on node values: `frac` is L y with the boundary
+split, and v = D_c y + k `frac`(y).  It also holds the quadratures of the
+Lagrangian and its gradient, D_c^T and L^T applied to the weighted H_v, all
+O(n log n); the Euler-Lagrange residual, whose right operator is L^T; and
+the Hessian through the dense M = D_c + k L, whose rows end two columns right
+of the diagonal.  Only the Hessian, so only a solve, holds n x n arrays.  The
+public functions build a Discretization per call; a solve builds one, and its
+certificate reads the same one.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .fracgrid import (
     SampledFunction,
     assemble_frac_operator,
     derivative_stencil,
+    derivative_stencil_transpose,
     variational_weights,
 )
 from .lagrange_dsl import AugmentedLagrangian, Lagrangian
@@ -117,7 +120,6 @@ class Discretization:
     with its gradient and Hessian in y."""
 
     def __init__(self, p: Problem):
-        # the operator first: it refuses an n whose matrix cannot be indexed
         self.left = discrete_operators(p.grid, p.order)
         self.p, self.t, self.w = p, p.grid.nodes(), variational_weights(p.grid)
 
@@ -132,11 +134,11 @@ class Discretization:
         infinite there when y(a) != 0).
         """
         fa = y[0]
-        out = self.left.weights @ (y - fa)
+        out = self.left.matvec(y - fa)
         if fa != 0.0:
             alpha = self.p.order.alpha
             out[1:] += fa * (self.t[1:] - self.p.grid.a) ** (-alpha) / gamma(1.0 - alpha)
-            out[0] = self.left.weights[0, 0] * fa
+            out[0] = self.left.weights[0] * fa
         return out
 
     def v(self, y: np.ndarray) -> np.ndarray:
@@ -146,13 +148,21 @@ class Discretization:
     def m(self) -> np.ndarray:
         """Dense M = D_c + k L, in Fortran order for BLAS and LAPACK: v depends on y
         through M (the split adds a constant).  Row i is zero past column i + 2.
-        D_c's bands are the rows of the 3 x 3 identity's stencil: node 0, inside, node n - 1."""
-        m = np.array(self.left.weights, order="F")
-        m *= self.p.k
+        Column j of k L is k times the weights, shifted down by j.  D_c's bands
+        are the rows of the 3 x 3 identity's stencil: node 0, inside, node n - 1."""
+        n = self.p.grid.n
+        if n * n > np.iinfo(np.intp).max // 8:
+            # refused before anything is allocated: numpy cannot index the matrix
+            raise MemoryError("the n x n matrix of doubles is too large to index")
+        # each entry of k L is k times L's, so its zeros are 0.0 * k, signed like k
+        kw = self.p.k * self.left.weights
+        m = np.full((n, n), 0.0 * self.p.k, order="F")
+        for j in range(n):
+            m[j:, j] = kw[:n - j]
         d = derivative_stencil(np.eye(3), self.p.grid.h)
         m[0, :3] += d[0]
         m[-1, -3:] += d[2]
-        inside = np.arange(1, self.p.grid.n - 1)
+        inside = np.arange(1, n - 1)
         m[inside, inside - 1] += d[1, 0]
         m[inside, inside + 1] += d[1, 2]
         return m
@@ -161,8 +171,13 @@ class Discretization:
         return float(np.dot(self.w, lagr.value(self.t, y, v)))
 
     def gradient(self, lagr, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Gradient in all n node values: w H_y + M^T (w H_v)."""
-        return self.w * lagr.dy(self.t, y, v) + self.m.T @ (self.w * lagr.dv(self.t, y, v))
+        """Gradient in all n node values: w H_y + M^T (w H_v), with M^T = D_c^T + k L^T."""
+        g = self.w * lagr.dv(self.t, y, v)
+        return (
+            self.w * lagr.dy(self.t, y, v)
+            + derivative_stencil_transpose(g, self.p.grid.h)
+            + self.p.k * self.left.rmatvec(g)
+        )
 
     def hessian(self, lagr, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Hessian in the interior node values: M^T W M + C + C^T + diag(w H_yy),
@@ -207,7 +222,7 @@ class Discretization:
         h_lagr = _lagrangian_for(self.p, lam)
         d2 = h_lagr.dy(self.t, y, v)
         d3 = h_lagr.dv(self.t, y, v)
-        r = d2 - derivative_stencil(d3, self.p.grid.h) + self.p.k * (self.left.weights.T @ d3)
+        r = d2 - derivative_stencil(d3, self.p.grid.h) + self.p.k * self.left.rmatvec(d3)
         interior = r[1:-1]
         return ELResidual(
             values=SampledFunction(self.p.grid, r),

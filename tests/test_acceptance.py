@@ -159,9 +159,8 @@ def test_criterion_06_integration_by_parts():
             f = SampledFunction(grid, t * (1.0 - t))
             q = SampledFunction(grid, (t * (1.0 - t)) ** 2)
             left = assemble_frac_operator(grid, FracOrder(alpha))
-            right = left.weights.T
-            lhs = trapezoid_integral(SampledFunction(grid, f.values * (left.weights @ q.values)))
-            rhs = trapezoid_integral(SampledFunction(grid, q.values * (right @ f.values)))
+            lhs = trapezoid_integral(SampledFunction(grid, f.values * left.matvec(q.values)))
+            rhs = trapezoid_integral(SampledFunction(grid, q.values * left.rmatvec(f.values)))
             mismatches.append(abs(lhs - rhs))
         # the mismatch sits at rounding level for every n, so monotone decrease
         # is asserted as non-increase up to a rounding floor

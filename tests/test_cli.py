@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 import fracvar.cli
+import fracvar.solver
 import fracvar.variational
 from fracvar.cli import EXIT_DOMAIN, EXIT_NOCONV, EXIT_OK, EXIT_SCHEMA, main
 
@@ -290,7 +291,7 @@ class TestDomainErrors:
         assert "log" in err
 
     def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
-        # stands in for an n whose dense operators do not fit in memory
+        # stands in for an n whose GL weights do not fit in memory
         def no_memory(*args):
             raise MemoryError
 
@@ -316,6 +317,22 @@ class TestDomainErrors:
         assert not (tmp_path / "problem.out.csv").exists()
         assert peak < 10 * 2**20
 
+    def test_solve_refused_up_front(self, tmp_path, capsys, monkeypatch):
+        # stands in for a machine without room for a solve's n x n arrays:
+        # the solve is refused before it makes them; a reference and a
+        # residual hold O(n) and are not refused
+        monkeypatch.setattr(fracvar.solver, "_memory_available", lambda: 1e5)
+        path = write_problem(tmp_path, G="v", xi=1.0, yb="auto-reference")
+        code, out, err = run(capsys, "solve", path)
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("error: out of memory: a solve at n = 101 holds") and err.count("\n") == 1
+        assert not (tmp_path / "problem.out.csv").exists()
+        ref_csv = tmp_path / "ref.csv"
+        code, _, _ = run(capsys, "reference", "--k", 1, "--alpha", 0.5, "--xi", 1, "--n", 101, "--out", ref_csv)
+        assert code == EXIT_OK
+        code, out, _ = run(capsys, "residual", path, "--y", ref_csv, "--lambda", 2)
+        assert code == EXIT_OK and "norm_max_interior" in json.loads(out)
+
     def test_auto_reference_overflows(self, tmp_path, capsys):
         # y(b) of the reference extremal is beyond double precision: the
         # user gave no yb, so the error names the reference, not the BCs
@@ -327,6 +344,23 @@ class TestDomainErrors:
 
 
 class TestResidual:
+    def test_n_too_large_to_index(self, tmp_path, capsys):
+        # refused before the CSV is read or any array of n values is made; a
+        # residual holds O(n), so the message does not blame dense arrays
+        path = write_problem(tmp_path, n=10**400)
+        y_csv = tmp_path / "y.csv"
+        y_csv.write_text("t,y\n0,0\n0.5,0.5\n1,1\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "residual", path, "--y", y_csv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("error: out of memory") and err.count("\n") == 1
+        assert " n " in err and "dense" not in err
+        assert peak < 10 * 2**20
+
     def test_round_trip(self, tmp_path, capsys):
         # residual of a solve's own trajectory must reproduce the solve's norm
         path = write_problem(tmp_path, k=0.0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
 from fracvar.fracgrid import (
@@ -10,6 +11,7 @@ from fracvar.fracgrid import (
     SampledFunction,
     assemble_frac_operator,
     derivative_stencil,
+    derivative_stencil_transpose,
     gl_weights,
     trapezoid_integral,
     variational_weights,
@@ -21,6 +23,11 @@ from fracvar.variational import Discretization, Problem
 
 def sampled(grid, fn):
     return SampledFunction(grid, fn(grid.nodes()))
+
+
+def dense_left(grid, order):
+    """The oracle: L as the dense lower-triangular Toeplitz matrix of the scaled GL weights."""
+    return scipy.linalg.toeplitz(gl_weights(order, grid.n) / grid.h**order.alpha, np.zeros(grid.n))
 
 
 class TestGrid:
@@ -79,11 +86,33 @@ class TestGLWeights:
 
 class TestFracOperator:
     def test_triangular_structure(self):
+        # L is held as its first column, read-only; L x at a node reads x up
+        # to that node only, and L^T x from it on: the padded FFT products do
+        # not wrap around, to rounding
         g = Grid(0.0, 1.0, 8)
-        left = assemble_frac_operator(g, FracOrder(0.4))
-        right = left.weights.T
-        assert np.all(np.triu(left.weights, 1) == 0.0)
-        assert np.all(np.tril(right, -1) == 0.0)
+        order = FracOrder(0.4)
+        op = assemble_frac_operator(g, order)
+        assert op.weights.shape == (g.n,) and not op.weights.flags.writeable
+        np.testing.assert_array_equal(op.weights, dense_left(g, order)[:, 0])
+        tail = np.r_[np.zeros(4), np.ones(4)]
+        tol = 1e-13 * np.sum(np.abs(op.weights))
+        assert np.max(np.abs(op.matvec(tail)[:4])) <= tol
+        assert np.max(np.abs(op.rmatvec(tail[::-1])[4:])) <= tol
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 1001, 1025])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.999])
+    def test_fft_products_match_dense_oracle(self, n, alpha):
+        # L x and L^T x by FFT against the dense Toeplitz matrix, to rounding
+        # of the convolution: |error| <= 1e-13 |w|_1 |x|_inf
+        g = Grid(0.0, 1.0, n)
+        order = FracOrder(alpha)
+        op = assemble_frac_operator(g, order)
+        dense = dense_left(g, order)
+        rng = np.random.default_rng(n)
+        for x in (rng.standard_normal(n), rng.uniform(-1.0, 1.0, n) * 1e3):
+            tol = 1e-13 * np.sum(np.abs(op.weights)) * np.max(np.abs(x))
+            assert np.max(np.abs(op.matvec(x) - dense @ x)) <= tol
+            assert np.max(np.abs(op.rmatvec(x) - dense.T @ x)) <= tol
 
     def test_power_function_at_endpoint(self):
         # left half-derivative of t on [0,1] at t=1 is Gamma(2)/Gamma(1.5) = 2/sqrt(pi)
@@ -93,7 +122,7 @@ class TestFracOperator:
         for n in (501, 1001, 2001):
             g = Grid(0.0, 1.0, n)
             op = assemble_frac_operator(g, FracOrder(0.5))
-            approx = (op.weights @ g.nodes())[-1]
+            approx = op.matvec(g.nodes())[-1]
             errs.append(abs(approx - exact))
         assert errs[0] > errs[1] > errs[2]
         assert errs[-1] < 5e-4
@@ -101,7 +130,7 @@ class TestFracOperator:
     def test_zero_function(self):
         g = Grid(0.0, 1.0, 21)
         op = assemble_frac_operator(g, FracOrder(0.5))
-        out = op.weights @ np.zeros(g.n)
+        out = op.matvec(np.zeros(g.n))
         assert np.all(out == 0.0)
 
     def test_constant_function_split(self):
@@ -120,7 +149,7 @@ class TestFracOperator:
         # through the singular part
         g = Grid(0.0, 1.0, 2001)
         op = assemble_frac_operator(g, FracOrder(0.5))
-        raw = op.weights @ np.ones(g.n)
+        raw = op.matvec(np.ones(g.n))
         exact = 1.0 / gamma(0.5)
         assert abs(raw[-1] - exact) > 1e-5
 
@@ -129,15 +158,15 @@ class TestFracOperator:
         op = assemble_frac_operator(g, FracOrder(0.3))
         t = g.nodes()
         f1, f2 = np.sin(t), t**2
-        lhs = op.weights @ (2.0 * f1 + 3.0 * f2)
-        rhs = 2.0 * (op.weights @ f1) + 3.0 * (op.weights @ f2)
+        lhs = op.matvec(2.0 * f1 + 3.0 * f2)
+        rhs = 2.0 * op.matvec(f1) + 3.0 * op.matvec(f2)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_alpha_near_one_matches_classical(self):
         g = Grid(0.0, 1.0, 501)
         y = np.sin(np.pi * g.nodes())
         op = assemble_frac_operator(g, FracOrder(1.0 - 1e-3))
-        frac = op.weights @ y
+        frac = op.matvec(y)
         classical = derivative_stencil(y, g.h)
         assert np.max(np.abs(frac[1:] - classical[1:])) <= 2e-2
 
@@ -150,7 +179,7 @@ class TestFracOperator:
             g = Grid(0.0, 1.0, n)
             t = g.nodes()
             op = assemble_frac_operator(g, FracOrder(alpha))
-            approx = op.weights @ (t**2)
+            approx = op.matvec(t**2)
             exact = gamma(3.0) / gamma(3.0 - alpha) * t ** (2.0 - alpha)
             errs.append(np.max(np.abs(approx[1:-1] - exact[1:-1])))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -161,8 +190,8 @@ class TestIntegrationByParts:
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_endpoint_vanishing_pair(self, alpha):
         # f and g vanish at both endpoints, so both sides are regular; with
-        # the transpose-exact operator pair the discrete identity holds to
-        # rounding, hence the non-increase check carries a rounding floor
+        # L and its transpose the discrete identity holds to rounding, hence
+        # the non-increase check carries a rounding floor
         mismatches = []
         for n in (251, 501, 1001, 2001):
             g = Grid(0.0, 1.0, n)
@@ -170,9 +199,8 @@ class TestIntegrationByParts:
             f = SampledFunction(g, t * (1.0 - t))
             q = SampledFunction(g, (t * (1.0 - t)) ** 2)
             left = assemble_frac_operator(g, FracOrder(alpha))
-            right = left.weights.T
-            lhs = trapezoid_integral(SampledFunction(g, f.values * (left.weights @ q.values)))
-            rhs = trapezoid_integral(SampledFunction(g, q.values * (right @ f.values)))
+            lhs = trapezoid_integral(SampledFunction(g, f.values * left.matvec(q.values)))
+            rhs = trapezoid_integral(SampledFunction(g, q.values * left.rmatvec(f.values)))
             mismatches.append(abs(lhs - rhs))
         assert mismatches[-1] <= 1e-3
         for a, b in zip(mismatches, mismatches[1:]):
@@ -189,6 +217,14 @@ class TestClassicalDerivative:
         g = Grid(0.0, 1.0, 33)
         out = derivative_stencil(g.nodes() ** 2, g.h)
         np.testing.assert_allclose(out, 2.0 * g.nodes(), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 41])
+    def test_transpose_matches_dense(self, n):
+        # D_c^T g against the transposed stencil of the identity
+        g = Grid(0.0, 2.0, n)
+        x = np.random.default_rng(n).standard_normal(n)
+        dense = derivative_stencil(np.eye(n), g.h).T @ x
+        np.testing.assert_allclose(derivative_stencil_transpose(x, g.h), dense, rtol=1e-14, atol=1e-14 * np.max(np.abs(dense)))
 
     def test_second_order_convergence(self):
         errs = []

@@ -454,8 +454,8 @@ def test_factor_in_place(constrained):
 
 @pytest.mark.parametrize("g, xi", [("v", 1.0), ("y^2", 40.0)])
 def test_solve_peak_memory(g, xi):
-    # L, M and the interior Hessian factored in its own buffer: about 3.2
-    # n x n matrices of doubles at the peak
+    # M and the interior Hessian factored in its own buffer, with no n x n L:
+    # about 2.2 n x n matrices of doubles at the peak
     n = 401
     grid = Grid(0.0, 1.0, n)
     # G = v is the criterion-4 problem, which ends at the reference extremal's y(b)
@@ -468,7 +468,7 @@ def test_solve_peak_memory(g, xi):
     finally:
         tracemalloc.stop()
     assert sol.converged
-    assert peak <= 3.5 * 8 * n**2
+    assert peak <= 2.5 * 8 * n**2
 
 
 def test_solve_peak_memory_with_cross_term():
@@ -483,7 +483,30 @@ def test_solve_peak_memory_with_cross_term():
     finally:
         tracemalloc.stop()
     assert sol.converged
-    assert peak <= 3.5 * 8 * n**2
+    assert peak <= 2.5 * 8 * n**2
+
+
+class TestMemoryCheck:
+    N = 401
+    PROBLEM = Problem(V2, 1.0, FracOrder(0.5), Grid(0.0, 1.0, N), 0.0, 1.0)
+
+    def test_refused_before_the_dense_arrays(self, monkeypatch):
+        # room for two n x n arrays, not the 2.25 a solve holds: refused
+        # before M or the Hessian is made
+        monkeypatch.setattr(fracvar.solver, "_memory_available", lambda: 2.0 * 8 * self.N**2)
+        monkeypatch.setattr(Discretization, "m", property(lambda disc: pytest.fail("M was built")))
+        with pytest.raises(MemoryError, match=f"a solve at n = {self.N} holds about 3 MB"):
+            solve_unconstrained(self.PROBLEM)
+
+    def test_room_for_the_solve(self, monkeypatch):
+        monkeypatch.setattr(fracvar.solver, "_memory_available", lambda: 2.3 * 8 * self.N**2 + 64 * 8 * self.N)
+        assert solve_unconstrained(self.PROBLEM).converged
+
+    def test_probe_reads_the_address_space_limit(self, monkeypatch):
+        assert fracvar.solver._memory_available() > 0.0
+        limit = 2**31
+        monkeypatch.setattr(fracvar.solver.resource, "getrlimit", lambda which: (limit, limit))
+        assert fracvar.solver._memory_available() < limit
 
 
 class TestHessianReuse:

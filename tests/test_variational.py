@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import fracvar.variational
 from fracvar.fracgrid import (
@@ -14,6 +15,7 @@ from fracvar.fracgrid import (
     SampledFunction,
     assemble_frac_operator,
     derivative_stencil,
+    gl_weights,
 )
 from fracvar.lagrange_dsl import AugmentedLagrangian, Lagrangian
 from fracvar.reference import ReferenceSpec, ml_convolution_extremal
@@ -82,11 +84,18 @@ def dense_difference_matrix(grid):
     return d
 
 
+def dense_left(grid, order):
+    """The oracle: L as the dense lower-triangular Toeplitz matrix of the scaled GL weights."""
+    return scipy.linalg.toeplitz(gl_weights(order, grid.n) / grid.h**order.alpha, np.zeros(grid.n))
+
+
 class TestDiscreteOperators:
     def test_one_matrix_per_entry(self):
-        # the right operator and D_c are not stored: only L is n x n
+        # the right operator and D_c are not stored, and L is its n weights
+        # and their transform, which its first product computes: O(n) bytes
         n = 301
         ops = discrete_operators(Grid(0.0, 1.0, n), FracOrder(0.45))
+        ops.matvec(np.ones(n))
         owners = {}
         for value in vars(ops).values():
             if isinstance(value, FracOperator):
@@ -94,7 +103,8 @@ class TestDiscreteOperators:
             if isinstance(value, np.ndarray):
                 owner = value if value.base is None else value.base
                 owners[id(owner)] = owner
-        assert sum(a.nbytes for a in owners.values()) <= 8 * n * n + 64 * n
+        assert len(owners) == 2
+        assert sum(a.nbytes for a in owners.values()) <= 64 * n
 
     def test_last_operator_only(self):
         # a sweep over grids keeps no more than the last grid's n x n matrix
@@ -131,13 +141,24 @@ class TestDiscreteOperators:
         assert made and all(ref() is None for ref in made)
 
     def test_stencil_columns(self):
-        # M = D_c + k L, with D_c from the stencil of the identity
+        # M = k L + D_c, with D_c from the stencil of the identity: M is
+        # written from the weights with the products of the dense oracle, bit
+        # for bit, down to the sign of its zeros
         for k in (0.8, 0.0, -0.6):
             p = make_problem(k=k, alpha=0.35, n=41)
-            left = assemble_frac_operator(p.grid, p.order).weights
-            np.testing.assert_array_equal(
-                Discretization(p).m, dense_difference_matrix(p.grid) + k * left
-            )
+            want = k * dense_left(p.grid, p.order)
+            d = dense_difference_matrix(p.grid)
+            band = d != 0.0
+            want[band] += d[band]
+            assert Discretization(p).m.tobytes() == want.tobytes()
+
+    def test_m_refuses_a_matrix_it_cannot_index(self):
+        # n = 2^31 nodes can be indexed, their n x n matrix cannot: refused
+        # before anything is allocated
+        disc = Discretization(make_problem(n=41))
+        disc.p = make_problem(n=2**31)
+        with pytest.raises(MemoryError, match="n x n matrix"):
+            disc.m
 
     def test_m_holds_one_matrix_at_its_peak(self):
         # D_c goes into k L by its bands: no n x n identity or stencil image
@@ -176,7 +197,7 @@ class TestDiscreteOperators:
         t = p.grid.nodes()
         y = t + 0.3 * np.sin(math.pi * t)
         v = disc.v(y)
-        m = dense_difference_matrix(p.grid) + k * assemble_frac_operator(p.grid, p.order).weights
+        m = dense_difference_matrix(p.grid) + k * dense_left(p.grid, p.order)
         w = p.grid.h * np.r_[0.25, 1.25, np.ones(n - 4), 1.25, 0.25]
         cross = (w * p.f.dyv(t, y, v))[:, None] * m
         dense = m.T @ ((w * p.f.dvv(t, y, v))[:, None] * m) + cross + cross.T
@@ -219,10 +240,10 @@ class TestCombinedDerivative:
         t = p.grid.nodes()
         y = ya + (1.0 - ya) * t + 0.2 * np.sin(math.pi * t)
         y[0] = ya
-        left = assemble_frac_operator(p.grid, p.order).weights
-        frac = left @ (y - ya)
+        left = assemble_frac_operator(p.grid, p.order)
+        frac = left.matvec(y - ya)
         frac[1:] += ya * (t[1:] - p.grid.a) ** (-alpha) / gamma(1.0 - alpha)
-        frac[0] = left[0, 0] * ya
+        frac[0] = left.weights[0] * ya
         assert np.array_equal(Discretization(p).v(y), derivative_stencil(y, p.grid.h) + k * frac)
 
     def test_grid_mismatch(self):
@@ -296,8 +317,8 @@ class TestELResidual:
 
     @pytest.mark.parametrize("ya", [0.0, 0.4])
     def test_matches_dense_oracle(self, ya):
-        # r = dH/dy - D_c[dH/dv] + k R dH/dv with a dense D_c and the assembled
-        # right operator R
+        # r = dH/dy - D_c[dH/dv] + k R dH/dv with a dense D_c and the dense
+        # right operator R = L^T
         p = make_problem(
             f=Lagrangian.parse("v^2 + sin(t) * y^2"), k=0.7, alpha=0.3, n=201, ya=ya, g=V, xi=1.0
         )
@@ -305,11 +326,24 @@ class TestELResidual:
         y = on_grid(p, lambda t: ya + (1.0 - ya) * t + 0.2 * np.sin(math.pi * t))
         v = combined_derivative(p, y).v.values
         h = AugmentedLagrangian(p.f, p.g, 1.5)
-        right = assemble_frac_operator(p.grid, p.order).weights.T
+        right = dense_left(p.grid, p.order).T
         d3 = h.dv(t, y.values, v)
         want = h.dy(t, y.values, v) - dense_difference_matrix(p.grid) @ d3 + p.k * (right @ d3)
         got = el_residual(p, y, lam=1.5).values.values
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_peak_memory_is_linear_in_n(self):
+        # L and L^T act by FFT: the residual holds O(n) values, no n x n matrix
+        n = 100001
+        p = make_problem(k=1.0, n=n)
+        y = on_grid(p, lambda t: t**2)
+        tracemalloc.start()
+        try:
+            el_residual(p, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 8 * n
 
     def test_constrained_requires_multiplier(self):
         p = make_problem(g=V, xi=1.0)
