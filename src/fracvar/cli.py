@@ -7,9 +7,9 @@ significant digits so runs are byte-reproducible.
 
 Exit codes: 0 success/converged, 2 parse/schema/precondition error,
 3 solver non-convergence, no minimizer, or an abnormal (multiplier-free)
-constraint, 4 numeric domain error, or out of memory: only a solve holds
-n x n arrays, and it is refused before it makes them where they would not
-fit; a residual and a reference grow as n.
+constraint, 4 numeric domain error, or out of memory: every command holds a
+few dozen arrays of n values at most, and a solve is refused before it makes
+them where they would not fit.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,17 +174,25 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def _read_trajectory_csv(path: str, grid: Grid) -> SampledFunction:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = [row for row in reader if row]
+            header = next(csv.reader(fh), None)
+            _require(header is not None, "trajectory CSV is empty")
+            _require(len(header) >= 2 and header[0] == "t" and header[1] == "y", "CSV must have columns t,y")
+            try:
+                # numpy parses the t and y columns of a well-formed file at once
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # a file of no rows is read below
+                    t, y = np.loadtxt(fh, delimiter=",", usecols=(0, 1), comments=None, quotechar='"', ndmin=2).T
+            except (ValueError, UserWarning):
+                # any other file row by row, to name what is wrong with it
+                fh.seek(0)
+                rows = [row for row in csv.reader(fh) if row][1:]
+                _require(len(rows) == grid.n, f"CSV has {len(rows)} rows but the grid has {grid.n} nodes")
+                _require(all(len(row) >= 2 for row in rows), "every CSV row must have a t and a y value")
+                t = np.array([float(row[0]) for row in rows])
+                y = np.array([float(row[1]) for row in rows])
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read trajectory CSV: {exc}") from exc
-    _require(header is not None, "trajectory CSV is empty")
-    _require(len(header) >= 2 and header[0] == "t" and header[1] == "y", "CSV must have columns t,y")
-    _require(len(rows) == grid.n, f"CSV has {len(rows)} rows but the grid has {grid.n} nodes")
-    _require(all(len(row) >= 2 for row in rows), "every CSV row must have a t and a y value")
-    t = np.array([float(row[0]) for row in rows])
-    y = np.array([float(row[1]) for row in rows])
+    _require(len(t) == grid.n, f"CSV has {len(t)} rows but the grid has {grid.n} nodes")
     if not np.allclose(t, grid.nodes(), rtol=0.0, atol=1e-9 * max(1.0, abs(grid.b))):
         raise GridMismatchError("CSV t column does not match the problem grid")
     return SampledFunction(grid, y)
@@ -324,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SCHEMA
     except MemoryError as exc:
         # the array's owner, or numpy, names what did not fit
-        what = str(exc) or "a solve's dense arrays grow as n^2"
+        what = str(exc) or "the arrays of n values do not fit"
         print(f"error: out of memory: {what}; use a smaller n", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -1,21 +1,26 @@
 """Direct-method solver: Newton's method on the interior node values.
 
-Each step factors the Hessian K of H (F, or F - lambda*G with a constraint),
-built from the Lagrangian's exact second partials, by Cholesky; when F is
-quadratic and G affine, K is the same at every iterate and is built and
-factored once per solve.  With a constraint, K is factored on the
-constraint's tangent space, and the KKT step on (nodes, lambda) is a move
-along the constraint gradient that meets the linearized constraint plus a
-tangent solve, so the quadratic family F = v^2, G = v is one linear solve.
-A factored matrix that is not positive definite gets a Levenberg shift mu*I,
-grown tenfold, on the tangent part only.  From the affine interpolant of the
-boundary values, steps backtrack on J (Armijo) or, with a constraint, on the
-KKT residual, until the residuals reach min(tol, 1e-12) or a full step
-changes J only by roundoff and does not halve them.  The steps and the final
-iterate's Euler-Lagrange residual use one Discretization, so a solve
-assembles the GL operator once.  A solve holds about 2.25 n x n arrays of
-doubles (M, the Hessian and a column block of its products), so it is
-refused up front, with a MemoryError, where they would not fit.
+Each step solves with the Hessian K of H (F, or F - lambda*G with a
+constraint), from the Lagrangian's exact second partials, by preconditioned
+conjugate gradients on Hessian-vector products: K x is two products with
+M = D_c + k L and two with M^T, four FFTs, and no n x n matrix is made.  The
+preconditioner is one real FFT pair: the Strang circulant of M's interior
+Toeplitz part, scaled by sqrt(w H_vv) on both sides.  When F is quadratic and
+G affine, K and its preconditioner are the same at every iterate and are
+built once per solve.  With a constraint, CG runs on the constraint's tangent
+space, and the KKT step on (nodes, lambda) is a move along the constraint
+gradient that meets the linearized constraint plus a tangent solve, so the
+quadratic family F = v^2, G = v is one linear solve.  Where CG meets a
+direction of nonpositive curvature, K gets a Levenberg shift mu*I, grown
+tenfold, on the tangent part only; K is indefinite where the shift had to
+grow past its first value, and at a stationary final iterate CG from a fixed
+probe makes that test once more.  From the affine interpolant of the boundary
+values, steps backtrack on J (Armijo) or, with a constraint, on the KKT
+residual, until the residuals reach min(tol, 1e-12) or a full step changes J
+only by roundoff and does not halve them.  The steps and the final iterate's
+Euler-Lagrange residual use one Discretization, so a solve assembles the GL
+operator once.  A solve holds a few dozen arrays of n doubles; it is refused
+up front, with a MemoryError, where they would not fit.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import resource
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .fracgrid import SampledFunction
 from .lagrange_dsl import AugmentedLagrangian
@@ -128,54 +132,145 @@ def _evaluate(disc: Discretization, x: np.ndarray, lam: float | None) -> _Iterat
     return _Iterate(x, lam, y, v, objective, grad - lam * grad_i, grad_i, disc.value(p.g, y, v) - p.xi)
 
 
-def _factor(hess: np.ndarray, grad_i: np.ndarray | None) -> tuple[tuple, bool]:
-    """Cholesky factor of hess or, with a constraint, of hess on its tangent
-    space: with u = grad_i/|grad_i|, P = I - u u^T, w = hess u and scale =
-    max|hess_ij|, of B = P hess P + scale u u^T = hess - u z^T - z u^T,
-    z = w - ((scale + u^T w)/2) u, positive definite exactly when hess is on
-    that space; B + mu*I with the least mu in {0} and {mu0 * 10^j} shifts only
-    the tangent part, and |B| <= (n + 1) scale ends the ladder.  Returns the
-    factor with u, w and |grad_i|, and whether B is indefinite: mu0 = 1e-8
-    scale did not suffice (it only covers B >= 0).  hess is consumed: each
-    try writes its upper triangle only, in place when hess is Fortran-ordered,
-    and a failed one is undone from the saved diagonal and the lower triangle."""
-    scale = max(float(hess.max()), -float(hess.min()), np.finfo(float).tiny)
-    mu0 = 1e-8 * scale
-    diag = hess.diagonal().copy()
-    u = w = a_norm = None
-    if grad_i is not None:
-        a_norm = float(np.linalg.norm(grad_i))
-        if not a_norm > 0.0:
-            raise AbnormalConstraintError("constraint gradient vanishes: abnormal extremal, no multiplier")
-        u = grad_i / a_norm
-        w = hess @ u
-        z = w - 0.5 * (scale + float(np.dot(u, w))) * u  # B conditioned like hess along u too
+class _Hessian:
+    """K, the Hessian of the quadrature of lagr in the interior node values at
+    (y, v), as products: with x~ the interior vector x padded by zero boundary
+    values, K x is [M^T (w H_vv M x~ + w H_yv x~) + w H_yv M x~ + w H_yy x~]
+    on the interior nodes, two products with M and M^T, four FFTs.
+
+    The preconditioner is S^-1 (C^H C)^-1 S^-1, one real FFT pair: C is the
+    Strang circulant of the interior Toeplitz part of M (the central
+    difference plus k L), of the least 5-smooth length >= n - 2, of which the
+    first n - 2 rows and columns act; the eigenvalues |c(theta)|^2 of C^H C
+    are floored at their third-least (at k = 0, c vanishes at theta = 0 and
+    pi).  S = sqrt|w H_vv| is floored at 1e-3 of its largest value, or is 1
+    where H_vv is 0 everywhere.  `scale` bounds |K|_inf, and with a
+    constraint gradient a, u = a/|a| is the unit normal of the tangent space
+    and ku = K u."""
+
+    def __init__(self, disc: Discretization, lagr, y: np.ndarray, v: np.ndarray, grad_i: np.ndarray | None):
+        t, w, h, k, weights = disc.t, disc.w, disc.p.grid.h, disc.p.k, disc.left.weights
+        self.disc = disc
+        self.wvv, self.wyv, self.wyy = (w * d(t, y, v) for d in (lagr.dvv, lagr.dyv, lagr.dyy))
+        # |D_c| <= 4/h and |k L| <= |k| sum|weights| bound M's row and column sums alike
+        m_norm = 4.0 / h + abs(k) * float(np.sum(np.abs(weights)))
+        self.scale = sum(
+            c * float(np.max(np.abs(a))) for c, a in ((m_norm**2, self.wvv), (2.0 * m_norm, self.wyv), (1.0, self.wyy))
+        )
+        s = np.sqrt(np.abs(self.wvv[1:-1]))
+        self.s = np.maximum(s, 1e-3 * s.max()) if s.max() > 0.0 else np.ones_like(s)
+        size = _fast_length(len(s))
+        lag = np.arange(size)  # the diagonal of M that each entry of C's first column copies
+        lag[lag > size // 2] -= size
+        col = np.where(lag >= 0, k * weights[np.abs(lag)], 0.0)
+        col[lag == 1] -= 0.5 / h
+        col[lag == -1] += 0.5 / h
+        sym = np.abs(np.fft.rfft(col)) ** 2
+        # the floor is 0 only where C is: at n = 3 and k = 0, where it preconditions nothing
+        self.sym = np.maximum(sym, np.sort(sym)[:3][-1] or 1.0)
+        self.size = size
+        self.u = self.ku = self.a_norm = None
+        if grad_i is not None:
+            self.a_norm = float(np.linalg.norm(grad_i))
+            if not self.a_norm > 0.0:
+                raise AbnormalConstraintError("constraint gradient vanishes: abnormal extremal, no multiplier")
+            self.u = grad_i / self.a_norm
+            self.ku = self(self.u)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        xt = np.concatenate(([0.0], x, [0.0]))
+        mx = self.disc.m_matvec(xt)
+        return (self.disc.m_rmatvec(self.wvv * mx + self.wyv * xt) + self.wyv * mx + self.wyy * xt)[1:-1]
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """P x, P = I - u u^T, or x itself without a constraint."""
+        return x if self.u is None else x - float(np.dot(self.u, x)) * self.u
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        z = np.fft.irfft(np.fft.rfft(r / self.s, self.size) / self.sym, self.size)
+        return z[: len(r)] / self.s
+
+
+def _fast_length(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: numpy's FFT is many times slower on a
+    length with a large prime factor, such as 15999."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _cg(apply, precondition, b: np.ndarray, target: float, cap: int) -> tuple[np.ndarray | None, int]:
+    """Preconditioned conjugate gradients on apply(x) = b from x = 0, until the
+    residual's max-norm is at most target or its 2-norm at most 1e-13 |b|,
+    the floor that roundoff lets it reach, or for cap iterations.  Returns x,
+    or None as soon as a direction p has curvature p^T apply(p) <= 0, and the
+    iterations taken."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    floor = 1e-13 * float(np.linalg.norm(b))
+    p = z = precondition(r)
+    rz = float(np.dot(r, z))
+    for its in range(cap):
+        if float(np.max(np.abs(r))) <= target or float(np.linalg.norm(r)) <= floor:
+            return x, its
+        q = apply(p)
+        curvature = float(np.dot(p, q))
+        if not curvature > 0.0:
+            return None, its
+        step = rz / curvature
+        x += step * p
+        r -= step * q
+        z = precondition(r)
+        rz, rz_old = float(np.dot(r, z)), rz
+        p = z + (rz / rz_old) * p
+    return x, cap
+
+
+def _shifted_solve(hess: _Hessian, b: np.ndarray, target: float) -> tuple[np.ndarray | None, bool]:
+    """x with (K + mu I) x = b on the tangent space (all of it without a
+    constraint), b on it, by projected CG to a residual max-norm of target,
+    with the least mu in {0} and {mu0 * 10^j}, mu0 = 1e-8 scale, at which CG
+    meets no nonpositive curvature; mu > scale >= |K| ends the ladder.
+    Returns x, and whether K is indefinite there: mu0 did not suffice (it
+    only covers K >= 0).  A zero K has no step and is not indefinite."""
+    if not hess.scale > 0.0:
+        return None, False
+    mu0 = 1e-8 * hess.scale
     for mu in itertools.chain([0.0], (mu0 * 10.0**j for j in itertools.count())):
-        if u is not None:  # B's upper triangle, the only one cho_factor reads
-            hess = scipy.linalg.blas.dsyr2(-1.0, u, z, a=hess, overwrite_a=True)
-        hess[np.diag_indices_from(hess)] += mu
-        try:
-            return (scipy.linalg.cho_factor(hess, overwrite_a=True, check_finite=False), u, w, a_norm), mu > mu0
-        except scipy.linalg.LinAlgError:
-            hess[np.diag_indices_from(hess)] = diag
-            for j in range(1, len(diag)):
-                hess[:j, j] = hess[j, :j]
+        x, _ = _cg(
+            lambda p: hess.project(hess(p)) + mu * p,
+            lambda r: hess.project(hess.precondition(r)),
+            b,
+            target,
+            len(b) + 10,
+        )
+        if x is not None:
+            return x, mu > mu0
 
 
-def _newton_step(factor: tuple, cur: _Iterate) -> tuple[np.ndarray, float | None]:
-    """Newton step on x, or the KKT step on (x, lam): with K the Hessian and
-    a = grad I, [[K, -a], [-a^T, 0]] (dx, dlam) = -(grad H, I - xi).  For
-    dx = s u + t, t orthogonal to u = a/|a|, the last row gives s = (xi - I)/|a|;
-    with r = grad H + s K u, the first row's tangent part gives t = -B^-1 P r
-    and its u part dlam = (u^T r + (K u)^T t)/|a|."""
-    chol, u, w, a_norm = factor
-    if u is None:
-        return -scipy.linalg.cho_solve(chol, cur.grad, check_finite=False), None
-    s = -cur.constraint / a_norm
-    r = cur.grad + s * w
+def _newton_step(hess: _Hessian, cur: _Iterate, target: float) -> tuple[np.ndarray | None, float | None, bool]:
+    """Newton step on x, or the KKT step on (x, lam), and whether K (on the
+    tangent space) is indefinite: with a = grad I, [[K, -a], [-a^T, 0]]
+    (dx, dlam) = -(grad H, I - xi).  For dx = s u + t, t orthogonal to
+    u = a/|a|, the last row gives s = (xi - I)/|a|; with r = grad H + s K u,
+    the first row's tangent part gives t = -(P K P)^-1 P r and its u part
+    dlam = (u^T r + (K u)^T t)/|a|.  dx is None where K is zero."""
+    if hess.u is None:
+        dx, indefinite = _shifted_solve(hess, -cur.grad, target)
+        return dx, None, indefinite
+    u, ku = hess.u, hess.ku
+    s = -cur.constraint / hess.a_norm
+    r = cur.grad + s * ku
     ur = float(np.dot(u, r))
-    t = -scipy.linalg.cho_solve(chol, r - ur * u, check_finite=False)
-    return s * u + t, (ur + float(np.dot(w, t))) / a_norm
+    t, indefinite = _shifted_solve(hess, ur * u - r, target)
+    if t is None:
+        return None, None, indefinite
+    return s * u + t, (ur + float(np.dot(ku, t))) / hess.a_norm, indefinite
 
 
 def _line_search(disc: Discretization, cur: _Iterate, dx: np.ndarray, dlam: float | None) -> _Iterate | None:
@@ -211,31 +306,37 @@ def _newton(disc: Discretization, opts: SolverOptions) -> tuple[_Iterate, int, b
     grad_target = min(opts.grad_tol, 1e-12)
     constraint_target = min(opts.constraint_tol, 1e-12)
     # with F quadratic and G affine the Hessian of F - lambda*G is that of F at
-    # every (y, lambda), and the constraint gradient is constant: one factor serves
+    # every (y, lambda), and the constraint gradient is constant: one serves
     constant = p.f.quadratic and (p.g is None or p.g.affine)
-    factor = None
+    hess = None
     iters = 0
     while True:
-        if factor is None:
+        if hess is None:
             lagr = p.f if cur.lam is None else AugmentedLagrangian(p.f, p.g, cur.lam)
-            factor, indefinite = _factor(disc.hessian(lagr, cur.y, cur.v), cur.grad_i)
-            if indefinite and constant:
-                raise NoMinimizerError("no minimizer: Hessian indefinite, and J is quadratic, so unbounded below")
+            hess = _Hessian(disc, lagr, cur.y, cur.v, cur.grad_i)
         if iters == opts.max_iters or (cur.gmax <= grad_target and abs(cur.constraint) <= constraint_target):
             break
-        dx, dlam = _newton_step(factor, cur)
-        nxt = _line_search(disc, cur, dx, dlam)
+        # a step that leaves the gradient within its target is solved to a quarter of it
+        dx, dlam, indefinite = _newton_step(hess, cur, 0.25 * grad_target)
+        if indefinite and constant:
+            raise NoMinimizerError("no minimizer: Hessian indefinite, and J is quadratic, so unbounded below")
+        nxt = None if dx is None else _line_search(disc, cur, dx, dlam)
         if nxt is None:
             break
         if not constant:
-            factor = None  # not held while the next Hessian is built
+            hess = None
         cur = nxt
         iters += 1
     # a stationary point at which the Hessian (on the constraint's tangent
-    # space) is indefinite is a saddle, not a minimizer
+    # space) is indefinite is a saddle, not a minimizer.  The gradient may be
+    # zero there, so CG tests the curvature from a fixed pseudorandom probe,
+    # cos(i^2); while it meets none, CG cannot shrink the probe's part along
+    # a direction of negative curvature, so 1e-10 of it is out of reach
     stationary = cur.gmax <= opts.grad_tol and abs(cur.constraint) <= opts.constraint_tol
-    if stationary and indefinite:
-        raise NoMinimizerError("no minimizer: Hessian indefinite at the stationary point reached")
+    if stationary:
+        probe = hess.project(np.cos(np.arange(len(cur.x), dtype=float) ** 2))
+        if _shifted_solve(hess, probe, 1e-10 * float(np.max(np.abs(probe))))[1]:
+            raise NoMinimizerError("no minimizer: Hessian indefinite at the stationary point reached")
     return cur, iters, stationary
 
 
@@ -262,15 +363,19 @@ def _memory_available() -> float:
     return avail
 
 
+#: A solve's tracemalloc peak, in arrays of n doubles, with room to spare
+_ARRAYS_PER_SOLVE = 48
+
+
 def _check_memory(n: int) -> None:
-    """Refuse a solve whose dense arrays would not fit before it makes them:
-    the kernel's out-of-memory kill would leave no exit code and no message.
-    The solve's peak is about 2.25 n x n arrays and 64 arrays of n doubles."""
-    need = 8.0 * (2.25 * n * n + 64.0 * n)
+    """Refuse a solve whose arrays would not fit before it makes them: the
+    kernel's out-of-memory kill would leave no exit code and no message.  The
+    solve's peak is about _ARRAYS_PER_SOLVE arrays of n doubles."""
+    need = 8.0 * _ARRAYS_PER_SOLVE * n
     avail = _memory_available()
     if need > avail:
         raise MemoryError(
-            f"a solve at n = {n} holds about {need / 2**20:.0f} MB of dense n x n arrays, "
+            f"a solve at n = {n} holds about {need / 2**20:.0f} MB of arrays of n doubles, "
             f"and {max(avail, 0.0) / 2**20:.0f} MB are available"
         )
 

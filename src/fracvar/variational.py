@@ -5,20 +5,19 @@ gradient (first variation) with respect to interior node values.
 All of them, and the solver, go through one `Discretization` of the problem,
 which owns its left GL operator L, n weights applied by FFT, and is the one
 place where D^alpha acts on node values: `frac` is L y with the boundary
-split, and v = D_c y + k `frac`(y).  It also holds the quadratures of the
-Lagrangian and its gradient, D_c^T and L^T applied to the weighted H_v, all
-O(n log n); the Euler-Lagrange residual, whose right operator is L^T; and
-the Hessian through the dense M = D_c + k L, whose rows end two columns right
-of the diagonal.  Only the Hessian, so only a solve, holds n x n arrays.  The
-public functions build a Discretization per call; a solve builds one, and its
-certificate reads the same one.
+split, and v = D_c y + k `frac`(y).  It also holds the products with
+M = D_c + k L and M^T, from which the solver forms its Hessian-vector
+products; the quadratures of the Lagrangian and its gradient, M^T applied to
+the weighted H_v; and the Euler-Lagrange residual, whose right operator is
+L^T.  All take O(n log n) time and O(n) memory.  The public functions build a
+Discretization per call; a solve builds one, and its certificate reads the
+same one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -104,11 +103,6 @@ class ELResidual:
     norm_l2_interior: float
 
 
-#: Column blocks of the Hessian's upper triangle: with 8 the block products
-#: take about n^3/4 multiply-adds, against n^3 for the full product M^T W M.
-_HESSIAN_BLOCKS = 8
-
-
 def discrete_operators(grid: Grid, order: FracOrder) -> FracOperator:
     """The left GL operator, whose transpose is the right one; each call assembles its own."""
     return assemble_frac_operator(grid, order)
@@ -144,71 +138,20 @@ class Discretization:
     def v(self, y: np.ndarray) -> np.ndarray:
         return derivative_stencil(y, self.p.grid.h) + self.p.k * self.frac(y)
 
-    @cached_property
-    def m(self) -> np.ndarray:
-        """Dense M = D_c + k L, in Fortran order for BLAS and LAPACK: v depends on y
-        through M (the split adds a constant).  Row i is zero past column i + 2.
-        Column j of k L is k times the weights, shifted down by j.  D_c's bands
-        are the rows of the 3 x 3 identity's stencil: node 0, inside, node n - 1."""
-        n = self.p.grid.n
-        if n * n > np.iinfo(np.intp).max // 8:
-            # refused before anything is allocated: numpy cannot index the matrix
-            raise MemoryError("the n x n matrix of doubles is too large to index")
-        # each entry of k L is k times L's, so its zeros are 0.0 * k, signed like k
-        kw = self.p.k * self.left.weights
-        m = np.full((n, n), 0.0 * self.p.k, order="F")
-        for j in range(n):
-            m[j:, j] = kw[:n - j]
-        d = derivative_stencil(np.eye(3), self.p.grid.h)
-        m[0, :3] += d[0]
-        m[-1, -3:] += d[2]
-        inside = np.arange(1, n - 1)
-        m[inside, inside - 1] += d[1, 0]
-        m[inside, inside + 1] += d[1, 2]
-        return m
+    def m_matvec(self, x: np.ndarray) -> np.ndarray:
+        """M x, with M = D_c + k L: v depends on y through M (the split adds a constant)."""
+        return derivative_stencil(x, self.p.grid.h) + self.p.k * self.left.matvec(x)
+
+    def m_rmatvec(self, g: np.ndarray) -> np.ndarray:
+        """M^T g = D_c^T g + k L^T g."""
+        return derivative_stencil_transpose(g, self.p.grid.h) + self.p.k * self.left.rmatvec(g)
 
     def value(self, lagr, y: np.ndarray, v: np.ndarray) -> float:
         return float(np.dot(self.w, lagr.value(self.t, y, v)))
 
     def gradient(self, lagr, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Gradient in all n node values: w H_y + M^T (w H_v), with M^T = D_c^T + k L^T."""
-        g = self.w * lagr.dv(self.t, y, v)
-        return (
-            self.w * lagr.dy(self.t, y, v)
-            + derivative_stencil_transpose(g, self.p.grid.h)
-            + self.p.k * self.left.rmatvec(g)
-        )
-
-    def hessian(self, lagr, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Hessian in the interior node values: M^T W M + C + C^T + diag(w H_yy),
-        with W = diag(w H_vv) and C = diag(w H_yv) M.
-
-        Entry (i, j) of M^T W M sums over rows m >= max(i, j) - 2 of M only, so
-        each column block c0:c1 of the upper triangle is a product over rows
-        from c0 - 2 on, of which a new Fortran-ordered matrix keeps the
-        interior entries; C and C^T are added block by block, so no n x n
-        temporary is made, and the lower triangle is mirrored from the upper
-        one."""
-        n, m = self.p.grid.n, self.m
-        wvv = self.w * lagr.dvv(self.t, y, v)
-        wyv = self.w * lagr.dyv(self.t, y, v)
-        has_cross = np.any(wyv)
-        hess = np.empty((n - 2, n - 2), order="F")
-        width = -(-n // _HESSIAN_BLOCKS)
-        for c0 in range(0, n, width):
-            c1 = min(c0 + width, n)
-            r = max(c0 - 2, 0)
-            j0, j1 = max(c0, 1), min(c1, n - 1)  # the block's interior columns
-            block = hess[:j1 - 1, j0 - 1:j1 - 1]
-            block[...] = (m[r:, :c1].T @ (wvv[r:, None] * m[r:, c0:c1]))[1:j1, j0 - c0:j1 - c0]
-            if has_cross:
-                # C_ij = wyv_i M_ij and (C^T)_ij = wyv_j M_ji on the block alone
-                block += wyv[1:j1, None] * m[1:j1, j0:j1]
-                block += (wyv[j0:j1, None] * m[j0:j1, 1:j1]).T
-        hess[np.diag_indices(n - 2)] += (self.w * lagr.dyy(self.t, y, v))[1:-1]
-        for j in range(n - 3):
-            hess[j + 1:, j] = hess[j, j + 1:]
-        return hess
+        """Gradient in all n node values: w H_y + M^T (w H_v)."""
+        return self.w * lagr.dy(self.t, y, v) + self.m_rmatvec(self.w * lagr.dv(self.t, y, v))
 
     def el_residual(self, y: np.ndarray, v: np.ndarray, lam: float | None) -> ELResidual:
         """Euler-Lagrange residual of H = F - lam*G (or plain F when lam is None):

@@ -318,10 +318,10 @@ class TestDomainErrors:
         assert peak < 10 * 2**20
 
     def test_solve_refused_up_front(self, tmp_path, capsys, monkeypatch):
-        # stands in for a machine without room for a solve's n x n arrays:
-        # the solve is refused before it makes them; a reference and a
-        # residual hold O(n) and are not refused
-        monkeypatch.setattr(fracvar.solver, "_memory_available", lambda: 1e5)
+        # stands in for a machine without room for a solve's arrays of n
+        # values: the solve is refused before it makes them; a reference and
+        # a residual are not checked
+        monkeypatch.setattr(fracvar.solver, "_memory_available", lambda: 1e3)
         path = write_problem(tmp_path, G="v", xi=1.0, yb="auto-reference")
         code, out, err = run(capsys, "solve", path)
         assert code == EXIT_DOMAIN
@@ -446,6 +446,39 @@ class TestResidual:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert message in err
 
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "error: trajectory CSV is empty\n"),
+            ("\n0,0\n0.5,0.5\n1,1\n", "error: CSV must have columns t,y\n"),
+            ("t\n0\n0.5\n1\n", "error: CSV must have columns t,y\n"),
+            ("t,y\n", "error: CSV has 0 rows but the grid has 3 nodes\n"),
+            ("t,y\n0,0\n1,1\n", "error: CSV has 2 rows but the grid has 3 nodes\n"),
+            ("t,y\n0,0\n0.5\n1,1\n0,0\n", "error: CSV has 4 rows but the grid has 3 nodes\n"),
+            ("t,y\n0,0\n0.5\n1,1\n", "error: every CSV row must have a t and a y value\n"),
+            ("t,y\n0,0\n0.5,abc\n1,1\n", "error: could not convert string to float: 'abc'\n"),
+            ("t,y\n0,0\n0.6,0.5\n1,1\n", "error: CSV t column does not match the problem grid\n"),
+        ],
+        ids=["empty", "blank-header", "one-column", "no-rows", "few-rows", "many-rows", "short-row", "not-a-number", "off-grid"],
+    )
+    def test_trajectory_csv_messages(self, tmp_path, capsys, text, message):
+        # numpy parses a well-formed file; every fault is still named
+        path = write_problem(tmp_path, k=0.0, n=3)
+        traj = tmp_path / "y.csv"
+        traj.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "residual", path, "--y", traj)
+        assert (code, out, err) == (EXIT_SCHEMA, "", message)
+
+    def test_trajectory_csv_forms_a_row_reader_accepts(self, tmp_path, capsys):
+        # quoted fields, a blank line, extra columns and an underscore in a
+        # number read as the plain file does
+        path = write_problem(tmp_path, k=0.0, n=3)
+        plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
+        plain.write_text("t,y\n0,0\n0.5,0.5\n1,10\n", encoding="utf-8")
+        odd.write_text('t,y,v\n0,0,9\n\n"0.5","0.5",x\n1,1_0,\n', encoding="utf-8")
+        outs = [run(capsys, "residual", path, "--y", traj) for traj in (plain, odd)]
+        assert outs[0] == outs[1] and outs[0][0] == EXIT_OK
 
     def test_trajectory_csv_not_utf8(self, tmp_path, capsys):
         path = write_problem(tmp_path, k=0.0, n=3)

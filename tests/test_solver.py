@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
-import itertools
+import io
+import json
+import math
 import tracemalloc
 import warnings
 
@@ -9,15 +12,20 @@ import scipy.linalg
 
 import fracvar.solver
 import fracvar.variational
+from dense_oracle import dense_m, dense_shifted_solve, hessian_of
+from fracvar.cli import _build_problem, main
 from fracvar.fracgrid import FracOrder, Grid
 from fracvar.lagrange_dsl import Lagrangian
 from fracvar.reference import ReferenceSpec, boundary_value, ml_convolution_extremal
 from fracvar.solver import (
+    _ARRAYS_PER_SOLVE,
     AbnormalConstraintError,
     NoMinimizerError,
     Solution,
     SolverOptions,
-    _factor,
+    _cg,
+    _Hessian,
+    _shifted_solve,
     solve_isoperimetric,
     solve_unconstrained,
 )
@@ -374,88 +382,234 @@ class TestIsoperimetric:
             solve_isoperimetric(p)
 
 
+class _MatrixHessian:
+    """A symmetric matrix in the solver's Hessian's place: its products, the
+    projection onto the tangent space of a, no preconditioner, and |K|_inf."""
+
+    def __init__(self, k, a=None):
+        self.k = k
+        self.u = None if a is None else a / np.linalg.norm(a)
+        self.scale = float(np.max(np.sum(np.abs(k), axis=1)))
+
+    def __call__(self, x):
+        return self.k @ x
+
+    def project(self, x):
+        return x if self.u is None else x - np.dot(self.u, x) * self.u
+
+    def precondition(self, r):
+        return r
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("margin", [0.05, -0.05])
-def test_tangent_definite_matches_null_space(seed, margin):
+def test_negative_curvature_matches_null_space(seed, margin):
     # a symmetric matrix shifted so that its least eigenvalue on the
-    # orthogonal complement of a is margin, against an explicit basis of it
+    # orthogonal complement of a is margin, against an explicit basis of it:
+    # CG from a probe on that space needs a shift past mu0 exactly when the
+    # margin is negative
     rng = np.random.default_rng(seed)
     n = 30
     b = rng.standard_normal((n, n))
     a = rng.standard_normal(n)
     basis = scipy.linalg.null_space(a[None, :])
-    hess = b + b.T
-    hess += (margin - np.linalg.eigvalsh(basis.T @ hess @ basis)[0]) * np.eye(n)
-    assert np.linalg.eigvalsh(basis.T @ hess @ basis)[0] == pytest.approx(margin, abs=1e-10)
-    # the factor's indefinite flag: the tangent-space matrix needed a real shift
-    assert _factor(hess, a)[1] == (margin < 0.0)
+    k = b + b.T
+    k += (margin - np.linalg.eigvalsh(basis.T @ k @ basis)[0]) * np.eye(n)
+    assert np.linalg.eigvalsh(basis.T @ k @ basis)[0] == pytest.approx(margin, abs=1e-10)
+    hess = _MatrixHessian(k, a)
+    probe = hess.project(rng.standard_normal(n))
+    x, indefinite = _shifted_solve(hess, probe, 1e-10)
+    assert indefinite == (margin < 0.0)
+    if not indefinite:
+        # the unshifted tangent-space solve
+        assert np.max(np.abs(hess.project(k @ x) - probe)) <= 1e-10
+        assert abs(np.dot(hess.u, x)) <= 1e-12
 
 
-@pytest.mark.parametrize("constrained", [False, True])
-def test_factor_holds_one_try(constrained):
-    # a C-ordered Hessian is still copied once per try, inside scipy, and a
-    # failed try is released before the next: at most one copy lives next to it
-    rng = np.random.default_rng(0)
-    b = rng.standard_normal((300, 300))
-    hess = b + b.T
-    tracemalloc.start()
-    try:
-        indefinite = _factor(hess, rng.standard_normal(300) if constrained else None)[1]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert indefinite
-    assert peak <= 1.1 * hess.nbytes
+class TestConjugateGradients:
+    @staticmethod
+    def system(n=40, seed=4):
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        return (q * np.linspace(1.0, 10.0, n)) @ q.T, rng.standard_normal(n)
+
+    def test_stops_at_the_target(self):
+        k, b = self.system()
+        x, its = _cg(lambda p: k @ p, lambda r: r, b, 1e-6, 100)
+        assert np.max(np.abs(k @ x - b)) <= 1.01e-6
+        # one more iteration would have been taken for a tenfold tighter target
+        assert _cg(lambda p: k @ p, lambda r: r, b, 1e-7, 100)[1] > its
+
+    def test_stops_at_the_roundoff_floor(self):
+        # with |b| = 1e12 an absolute target of 1e-13 is below what roundoff
+        # lets the residual reach; the relative floor ends CG far from the cap
+        k, b = self.system()
+        b *= 1e12 / np.linalg.norm(b)
+        x, its = _cg(lambda p: k @ p, lambda r: r, b, 1e-13, 10_000)
+        assert its < 100
+        assert np.linalg.norm(k @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_meets_negative_curvature(self):
+        k, b = self.system()
+        k[0, 0] = -5.0
+        x, its = _cg(lambda p: k @ p, lambda r: r, b, 1e-10, 100)
+        assert x is None and its < 100
+
+    def test_zero_right_hand_side(self):
+        k, b = self.system()
+        x, its = _cg(lambda p: k @ p, lambda r: r, np.zeros_like(b), 1e-10, 100)
+        assert its == 0 and not np.any(x)
 
 
-def _copy_per_try(hess, grad_i):
-    # the shift ladder on a fresh Fortran-ordered copy of hess for every try
-    scale = max(float(hess.max()), -float(hess.min()), np.finfo(float).tiny)
-    mu0 = 1e-8 * scale
-    u = None
-    if grad_i is not None:
-        u = grad_i / float(np.linalg.norm(grad_i))
-        w = hess @ u
-        z = w - 0.5 * (scale + float(np.dot(u, w))) * u
-    for mu in itertools.chain([0.0], (mu0 * 10.0**j for j in itertools.count())):
-        shifted = hess.copy(order="F")
-        if u is not None:
-            shifted = scipy.linalg.blas.dsyr2(-1.0, u, z, a=shifted, overwrite_a=True)
-        shifted[np.diag_indices_from(shifted)] += mu
-        try:
-            return scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False)[0], mu > mu0
-        except scipy.linalg.LinAlgError:
-            pass
+def hessian_point(source, k, n, alpha=0.3):
+    """A problem, its Discretization and a point (y, v) off every extremal."""
+    p = Problem(Lagrangian.parse(source), k, FracOrder(alpha), Grid(0.0, 1.0, n), 0.0, 1.0)
+    disc = Discretization(p)
+    t = p.grid.nodes()
+    y = t + 0.3 * np.sin(math.pi * t)
+    return p, disc, y, disc.v(y)
 
 
-@pytest.mark.parametrize("constrained", [False, True])
-def test_factor_in_place(constrained):
-    # a Fortran-ordered Hessian is factored in its own buffer: failed tries
-    # are undone from its diagonal and its strictly lower triangle, which no
-    # try writes, and the factor is the one a fresh copy per try gives
-    rng = np.random.default_rng(1)
-    b = rng.standard_normal((300, 300))
-    hess = np.asfortranarray(b + b.T)
-    grad_i = rng.standard_normal(300) if constrained else None
-    expected, expected_indefinite = _copy_per_try(hess, grad_i)
-    lower = np.tril(hess, -1)
-    tracemalloc.start()
-    try:
-        factor, indefinite = _factor(hess, grad_i)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.1 * hess.nbytes
-    assert np.shares_memory(factor[0][0], hess)
-    assert indefinite and indefinite == expected_indefinite
-    np.testing.assert_array_equal(factor[0][0], expected)
-    np.testing.assert_array_equal(np.tril(hess, -1), lower)
+class TestHessianProduct:
+    def test_matches_gradient_differences(self):
+        p, disc, y, v = hessian_point("v^4 + sin(t) * y^2 + y*v", 0.7, 41)
+        hess = _Hessian(disc, p.f, y, v, None)
+        eps = 1e-6
+        for j in (0, 7, 20, 38):
+            e = np.zeros(p.grid.n)
+            e[j + 1] = eps
+            plus, minus = y + e, y - e
+            fd = (disc.gradient(p.f, plus, disc.v(plus)) - disc.gradient(p.f, minus, disc.v(minus)))[1:-1]
+            column = hess(e[1:-1] / eps)
+            np.testing.assert_allclose(column, fd / (2.0 * eps), rtol=1e-6, atol=1e-6 * np.max(np.abs(column)))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 41, 203])
+    @pytest.mark.parametrize("k", [0.0, 0.7])
+    @pytest.mark.parametrize("source", ["v^4 + sin(t) * y^2", "v^4 + sin(t) * y^2 + y*v"])
+    def test_dense_oracle_matches_dense_product(self, n, k, source):
+        # the oracle's column-block assembly against M^T W M + C + C^T +
+        # diag(w H_yy), with W = diag(w H_vv) and C = diag(w H_yv) M, all n x n
+        p, disc, y, v = hessian_point(source, k, n)
+        t = p.grid.nodes()
+        m = dense_m(disc)
+        w = p.grid.h * np.r_[0.25, 1.25, np.ones(n - 4), 1.25, 0.25]
+        cross = (w * p.f.dyv(t, y, v))[:, None] * m
+        dense = m.T @ ((w * p.f.dvv(t, y, v))[:, None] * m) + cross + cross.T
+        dense += np.diag(w * p.f.dyy(t, y, v))
+        hess = hessian_of(disc, p.f, y, v)
+        assert np.max(np.abs(hess - dense[1:-1, 1:-1])) <= 1e-13 * np.max(np.abs(dense))
+        np.testing.assert_array_equal(hess, hess.T)
+
+    @pytest.mark.parametrize("n", [5, 101, 1001])
+    @pytest.mark.parametrize("k", [0.0, 0.7, -1.0])
+    @pytest.mark.parametrize("source", ["v^4 + sin(t) * y^2", "v^4 + sin(t) * y^2 + y*v"])
+    def test_matches_dense_oracle(self, n, k, source):
+        # four FFTs per product, against the dense interior Hessian
+        p, disc, y, v = hessian_point(source, k, n)
+        hess = _Hessian(disc, p.f, y, v, None)
+        dense = hessian_of(disc, p.f, y, v)
+        rng = np.random.default_rng(n)
+        for x in (rng.standard_normal(n - 2), np.sin(np.arange(n - 2)), np.eye(n - 2)[n // 2]):
+            want = dense @ x
+            assert np.max(np.abs(hess(x) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "source, k",
+        [("v^4 + sin(t) * y^2 + y*v", 0.7), ("y*v", 0.0), ("v^2", -1.0), ("exp(v) + y^2", 0.3), ("v^2 - 15*y^2", 0.0)],
+    )
+    @pytest.mark.parametrize("n", [5, 101, 1001])
+    def test_shift_scale_bounds_the_hessian(self, source, k, n):
+        # mu0 = 1e-8 scale is scaled by a bound on |K|_inf, not by K's
+        # diagonal, which is zero for y*v at k = 0
+        p, disc, y, v = hessian_point(source, k, n)
+        norm = np.max(np.sum(np.abs(hessian_of(disc, p.f, y, v)), axis=1))
+        assert norm <= _Hessian(disc, p.f, y, v, None).scale <= 100.0 * norm
+
+
+#: The benchmark's solve problems: the criterion-4 problem, v^2+y^2 under
+#: G = v, and three nonlinear Lagrangians at k = 0.7, alpha = 0.3.
+BENCHMARK_PROBLEMS = [
+    dict(F="v^2", G="v", xi=1.0, alpha=0.5, k=1.0, ya=0.0, yb="auto-reference"),
+    dict(F="v^2+y^2", G="v", xi=1.0, alpha=0.5, k=1.0, ya=0.0, yb=0.6),
+    dict(F="v^4+y^2", alpha=0.3, k=0.7, ya=0.0, yb=1.0),
+    dict(F="sqrt(1+v^2)", alpha=0.3, k=0.7, ya=0.0, yb=1.0),
+    dict(F="exp(v)+y^2", alpha=0.3, k=0.7, ya=0.0, yb=1.0),
+]
+
+
+@pytest.mark.parametrize("n", [1001, 4001])
+def test_no_benchmark_problem_reaches_the_cg_cap(monkeypatch, n):
+    runs = []
+    cg = fracvar.solver._cg
+
+    def recorded(apply, precondition, b, target, cap):
+        x, its = cg(apply, precondition, b, target, cap)
+        runs.append((its, cap))
+        return x, its
+
+    monkeypatch.setattr(fracvar.solver, "_cg", recorded)
+    for doc in BENCHMARK_PROBLEMS:
+        p = _build_problem(dict(doc, a=0.0, b=1.0, n=n))
+        assert (solve_isoperimetric if p.constrained else solve_unconstrained)(p).converged
+    assert runs and all(its < cap for its, cap in runs)
+    # and CG's iterations do not grow with n
+    assert max(its for its, _ in runs) <= 100
+
+
+def _solve_cli(tmp_path, tag, doc):
+    problem, out = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
+    problem.write_text(json.dumps(dict(doc, a=0.0, b=1.0)), encoding="utf-8")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["solve", str(problem), "--out", str(out)])
+    if not out.exists():
+        return code, None, None
+    summary = json.loads(stdout.getvalue())
+    return code, summary, np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+
+
+#: The benchmark's five problems; five with ya != 0 (one at k = 0); and the
+#: nonconvex and indefinite problems of the tests above.
+ORACLE_PROBLEMS = [dict(doc, n=1001) for doc in BENCHMARK_PROBLEMS] + [
+    dict(F="v^2+y^2", alpha=0.75, k=1.0, n=501, ya=0.3, yb=1.0),
+    dict(F="v^4+y^2", alpha=0.5, k=-0.5, n=401, ya=-0.4, yb=0.7),
+    dict(F="v^2", G="y^2", xi=0.5, alpha=0.5, k=1.0, n=301, ya=0.2, yb=1.0),
+    dict(F="v^4+y*v+y^2", alpha=0.3, k=0.9, n=401, ya=0.1, yb=1.0),
+    dict(F="v^2+y^2", alpha=0.4, k=0.0, n=201, ya=1.5, yb=-1.0),
+    dict(F="v^2 - 15*y^2 + y^4", alpha=0.5, k=0.0, n=401, ya=0.0, yb=1.0),
+    dict(F="v^2 - 40*y^2 + y^4", alpha=0.5, k=0.0, n=401, ya=0.0, yb=1.0, solver={"max_iters": 2}),
+    dict(F="v^2 - 100*y^2 + y^4", alpha=0.5, k=0.0, n=401, ya=0.0, yb=0.0),
+    dict(F="v^2 - 100*y^2 + y^4", G="y", xi=0.0, alpha=0.5, k=0.0, n=401, ya=0.0, yb=0.0),
+    dict(F="y*v", alpha=0.5, k=0.0, n=21, ya=0.0, yb=1.0),
+    dict(F="v^2 - 30*y^2", alpha=0.5, k=1.0, n=201, ya=0.0, yb=1.0),
+    dict(F="v^2 - 100*y^2", G="y", xi=0.3, alpha=0.5, k=1.0, n=201, ya=0.0, yb=1.0),
+    dict(F="v^2", G="y^2", xi=10.0, alpha=0.5, k=1.0, n=201, ya=0.0, yb=1.0),
+    dict(F="v^2", G="y^2", xi=40.0, alpha=0.5, k=1.0, n=601, ya=0.0, yb=1.0),
+    dict(F="v^2+y^2", G="y^2", xi=0.5, alpha=0.5, k=1.0, n=301, ya=0.0, yb=1.0),
+]
+
+
+@pytest.mark.parametrize("doc", ORACLE_PROBLEMS, ids=lambda doc: f"{doc['F']}|{doc.get('G')}|n={doc['n']}")
+def test_agrees_with_dense_newton(tmp_path, monkeypatch, doc):
+    # fracvar solve, then the same Newton iteration with its linear algebra
+    # dense: the oracle's Hessian, a Cholesky test and np.linalg.solve
+    code, summary, y = _solve_cli(tmp_path, "cg", doc)
+    monkeypatch.setattr(fracvar.solver, "_shifted_solve", dense_shifted_solve)
+    dense_code, dense_summary, dense_y = _solve_cli(tmp_path, "dense", doc)
+    assert code == dense_code
+    if summary is None:
+        assert dense_summary is None
+        return
+    assert summary["converged"] == dense_summary["converged"]
+    assert np.max(np.abs(y - dense_y)) <= 1e-10
+    if summary["lambda"] is not None:
+        assert summary["lambda"] == pytest.approx(dense_summary["lambda"], rel=0.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("g, xi", [("v", 1.0), ("y^2", 40.0)])
 def test_solve_peak_memory(g, xi):
-    # M and the interior Hessian factored in its own buffer, with no n x n L:
-    # about 2.2 n x n matrices of doubles at the peak
+    # no n x n array: the GL weights, their transform, and a few dozen
+    # arrays of n doubles in the Newton steps and their CG
     n = 401
     grid = Grid(0.0, 1.0, n)
     # G = v is the criterion-4 problem, which ends at the reference extremal's y(b)
@@ -468,12 +622,11 @@ def test_solve_peak_memory(g, xi):
     finally:
         tracemalloc.stop()
     assert sol.converged
-    assert peak <= 2.5 * 8 * n**2
+    assert peak <= _ARRAYS_PER_SOLVE * 8 * n
 
 
 def test_solve_peak_memory_with_cross_term():
-    # H_yv = 1 adds C + C^T to the Hessian block by block, with no n x n
-    # temporary of its own: the peak stays that of the solves above
+    # H_yv = 1 adds two products to each Hessian product, with nothing held
     n = 401
     p = Problem(Lagrangian.parse("v^4+y*v+y^2"), 0.9, FracOrder(0.3), Grid(0.0, 1.0, n), 0.0, 1.0)
     tracemalloc.start()
@@ -483,24 +636,40 @@ def test_solve_peak_memory_with_cross_term():
     finally:
         tracemalloc.stop()
     assert sol.converged
-    assert peak <= 2.5 * 8 * n**2
+    assert peak <= _ARRAYS_PER_SOLVE * 8 * n
+
+
+def test_criterion_four_at_16001_nodes_is_linear_in_memory():
+    # one n x n matrix of doubles would be 2 GB here
+    n = 16001
+    grid = Grid(0.0, 1.0, n)
+    p = quadratic_problem(0.5, 1.0, n, boundary_value(ReferenceSpec(k=1.0, order=FracOrder(0.5), xi=1.0, grid=grid)), xi=1.0)
+    tracemalloc.start()
+    try:
+        sol = solve_isoperimetric(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.converged
+    assert sol.lam == pytest.approx(2.0, rel=1e-3)
+    assert peak <= _ARRAYS_PER_SOLVE * 8 * n
 
 
 class TestMemoryCheck:
-    N = 401
+    N = 100_001
     PROBLEM = Problem(V2, 1.0, FracOrder(0.5), Grid(0.0, 1.0, N), 0.0, 1.0)
 
-    def test_refused_before_the_dense_arrays(self, monkeypatch):
-        # room for two n x n arrays, not the 2.25 a solve holds: refused
-        # before M or the Hessian is made
-        monkeypatch.setattr(fracvar.solver, "_memory_available", lambda: 2.0 * 8 * self.N**2)
-        monkeypatch.setattr(Discretization, "m", property(lambda disc: pytest.fail("M was built")))
-        with pytest.raises(MemoryError, match=f"a solve at n = {self.N} holds about 3 MB"):
+    def test_refused_before_the_newton_loop(self, monkeypatch):
+        # room for half the arrays a solve holds: refused before any step
+        monkeypatch.setattr(fracvar.solver, "_memory_available", lambda: 0.5 * _ARRAYS_PER_SOLVE * 8 * self.N)
+        monkeypatch.setattr(fracvar.solver, "_newton", lambda *args: pytest.fail("the Newton loop started"))
+        with pytest.raises(MemoryError, match=f"a solve at n = {self.N} holds about 37 MB of arrays of n doubles"):
             solve_unconstrained(self.PROBLEM)
 
     def test_room_for_the_solve(self, monkeypatch):
-        monkeypatch.setattr(fracvar.solver, "_memory_available", lambda: 2.3 * 8 * self.N**2 + 64 * 8 * self.N)
-        assert solve_unconstrained(self.PROBLEM).converged
+        n = 401
+        monkeypatch.setattr(fracvar.solver, "_memory_available", lambda: _ARRAYS_PER_SOLVE * 8 * n)
+        assert solve_unconstrained(dataclasses.replace(self.PROBLEM, grid=Grid(0.0, 1.0, n))).converged
 
     def test_probe_reads_the_address_space_limit(self, monkeypatch):
         assert fracvar.solver._memory_available() > 0.0
@@ -509,34 +678,30 @@ class TestMemoryCheck:
         assert fracvar.solver._memory_available() < limit
 
 
-class TestHessianReuse:
+class TestHessianBuilds:
     @staticmethod
-    def count_calls(monkeypatch):
-        calls = {"hessian": 0, "cho_factor": 0}
+    def count_builds(monkeypatch):
+        builds = []
 
-        def counted(owner, name):
-            original = getattr(owner, name)
+        class Counted(fracvar.solver._Hessian):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
+        monkeypatch.setattr(fracvar.solver, "_Hessian", Counted)
+        return builds
 
-            monkeypatch.setattr(owner, name, wrapper)
-
-        counted(Discretization, "hessian")
-        counted(scipy.linalg, "cho_factor")
-        return calls
-
-    def test_quadratic_with_linear_constraint_factors_once(self, monkeypatch):
+    def test_quadratic_with_affine_constraint_builds_one_preconditioner(self, monkeypatch):
         # criterion 4's problem: F - lambda*G has one Hessian for every
-        # (y, lambda), built and factored once for the steps and the final check
+        # (y, lambda); it and its preconditioner are built once, for the
+        # steps and the final curvature test
         grid = Grid(0.0, 1.0, 201)
         spec = ReferenceSpec(k=1.0, order=FracOrder(0.5), xi=1.0, grid=grid)
         p = quadratic_problem(0.5, 1.0, 201, boundary_value(spec), xi=1.0)
-        calls = self.count_calls(monkeypatch)
+        builds = self.count_builds(monkeypatch)
         sol = solve_isoperimetric(p)
         assert sol.converged and sol.iterations >= 1
-        assert calls == {"hessian": 1, "cho_factor": 1}
+        assert len(builds) == 1
 
     @pytest.mark.parametrize(
         "f, g",
@@ -547,7 +712,7 @@ class TestHessianReuse:
         ],
     )
     def test_nonconstant_builds_one_per_step(self, monkeypatch, f, g):
-        # one Hessian and factor per Newton step, and one at the final iterate
+        # one Hessian and preconditioner per Newton step, and one at the final iterate
         p = Problem(
             f=Lagrangian.parse(f),
             k=1.0,
@@ -558,12 +723,10 @@ class TestHessianReuse:
             g=None if g is None else Lagrangian.parse(g),
             xi=None if g is None else 10.0,
         )
-        calls = self.count_calls(monkeypatch)
+        builds = self.count_builds(monkeypatch)
         sol = (solve_unconstrained if g is None else solve_isoperimetric)(p)
         assert sol.converged and sol.iterations >= 2
-        assert calls["hessian"] == sol.iterations + 1
-        # a Hessian indefinite on the way takes more than one try to factor
-        assert calls["cho_factor"] >= sol.iterations + 1
+        assert len(builds) == sol.iterations + 1
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """The benchmark's tracer wraps fracvar callables by name; a renamed callable
 must fail here, not only in a benchmark run.  The CLI's imports stay within
-the runtime dependencies."""
+the runtime dependency, numpy."""
 
 import importlib.util
 import subprocess
@@ -53,8 +53,7 @@ def test_tracer_resolves_every_name():
 
 
 def test_cli_import_set():
-    # mpmath, scipy.integrate and scipy.special serve the tests as oracles
-    # only; the CLI runs without them
-    code = "import sys, fracvar.cli; print(sorted({'mpmath', 'scipy.integrate', 'scipy.special'} & set(sys.modules)))"
+    # mpmath and scipy serve the tests as oracles only; the CLI runs without them
+    code = "import sys, fracvar.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import fracvar.variational
+from dense_oracle import dense_m
 from fracvar.fracgrid import (
     FracOperator,
     FracOrder,
@@ -140,73 +141,24 @@ class TestDiscreteOperators:
         solve_isoperimetric(make_problem(k=1.0, n=41, g=V, xi=1.0))
         assert made and all(ref() is None for ref in made)
 
-    def test_stencil_columns(self):
-        # M = k L + D_c, with D_c from the stencil of the identity: M is
-        # written from the weights with the products of the dense oracle, bit
-        # for bit, down to the sign of its zeros
+    def test_m_products_match_dense_m(self):
+        # M = k L + D_c: the oracle's dense M is k times the dense L plus the
+        # stencil's bands, bit for bit, down to the sign of its zeros; M x and
+        # M^T x by the stencil and the FFT products agree with it
+        rng = np.random.default_rng(3)
         for k in (0.8, 0.0, -0.6):
             p = make_problem(k=k, alpha=0.35, n=41)
+            disc = Discretization(p)
+            m = dense_m(disc)
             want = k * dense_left(p.grid, p.order)
             d = dense_difference_matrix(p.grid)
             band = d != 0.0
             want[band] += d[band]
-            assert Discretization(p).m.tobytes() == want.tobytes()
-
-    def test_m_refuses_a_matrix_it_cannot_index(self):
-        # n = 2^31 nodes can be indexed, their n x n matrix cannot: refused
-        # before anything is allocated
-        disc = Discretization(make_problem(n=41))
-        disc.p = make_problem(n=2**31)
-        with pytest.raises(MemoryError, match="n x n matrix"):
-            disc.m
-
-    def test_m_holds_one_matrix_at_its_peak(self):
-        # D_c goes into k L by its bands: no n x n identity or stencil image
-        p = make_problem(k=0.8, alpha=0.35, n=401)
-        disc = Discretization(p)
-        tracemalloc.start()
-        try:
-            disc.m
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * 8 * p.grid.n**2
-
-    def test_hessian_matches_gradient_differences(self):
-        p = make_problem(f=Lagrangian.parse("v^4 + sin(t) * y^2 + y*v"), k=0.7, alpha=0.3, n=41)
-        disc = Discretization(p)
-        t = p.grid.nodes()
-        y = t + 0.3 * np.sin(math.pi * t)
-        hess = disc.hessian(p.f, y, disc.v(y))
-        eps = 1e-6
-        for j in (0, 7, 20, 38):
-            e = np.zeros(p.grid.n)
-            e[j + 1] = eps
-            plus, minus = y + e, y - e
-            fd = (disc.gradient(p.f, plus, disc.v(plus)) - disc.gradient(p.f, minus, disc.v(minus)))[1:-1]
-            np.testing.assert_allclose(hess[:, j], fd / (2.0 * eps), rtol=1e-6, atol=1e-6 * np.max(np.abs(hess)))
-
-    @pytest.mark.parametrize("n", [5, 6, 7, 41, 203])
-    @pytest.mark.parametrize("k", [0.0, 0.7])
-    @pytest.mark.parametrize("source", ["v^4 + sin(t) * y^2", "v^4 + sin(t) * y^2 + y*v"])
-    def test_hessian_matches_dense_product(self, n, k, source):
-        # the column-block assembly against M^T W M + C + C^T + diag(w H_yy),
-        # with W = diag(w H_vv) and C = diag(w H_yv) M, all n x n
-        p = make_problem(f=Lagrangian.parse(source), k=k, alpha=0.3, n=n)
-        disc = Discretization(p)
-        t = p.grid.nodes()
-        y = t + 0.3 * np.sin(math.pi * t)
-        v = disc.v(y)
-        m = dense_difference_matrix(p.grid) + k * dense_left(p.grid, p.order)
-        w = p.grid.h * np.r_[0.25, 1.25, np.ones(n - 4), 1.25, 0.25]
-        cross = (w * p.f.dyv(t, y, v))[:, None] * m
-        dense = m.T @ ((w * p.f.dvv(t, y, v))[:, None] * m) + cross + cross.T
-        dense += np.diag(w * p.f.dyy(t, y, v))
-        hess = disc.hessian(p.f, y, v)
-        assert np.max(np.abs(hess - dense[1:-1, 1:-1])) <= 1e-13 * np.max(np.abs(dense))
-        np.testing.assert_array_equal(hess, hess.T)
-        # a buffer of its own that LAPACK factors in place
-        assert hess.flags.f_contiguous and hess.base is None
+            assert m.tobytes() == want.tobytes()
+            x = rng.standard_normal(p.grid.n)
+            scale = np.max(np.abs(m)) * np.sum(np.abs(x))
+            assert np.max(np.abs(disc.m_matvec(x) - m @ x)) <= 1e-14 * scale
+            assert np.max(np.abs(disc.m_rmatvec(x) - m.T @ x)) <= 1e-14 * scale
 
 
 class TestCombinedDerivative:
