@@ -13,8 +13,14 @@ gradient that meets the linearized constraint plus a tangent solve, so the
 quadratic family F = v^2, G = v is one linear solve.  Where CG meets a
 direction of nonpositive curvature, K gets a Levenberg shift mu*I, grown
 tenfold, on the tangent part only; K is indefinite where the shift had to
-grow past its first value, and at a stationary final iterate CG from a fixed
-probe makes that test once more.  From the affine interpolant of the boundary
+grow past its first value.  K is proven convex, in O(n) and with no product,
+where the Lagrangian's 2 x 2 Hessian in (y, v) is positive semidefinite at
+every node.  Each step is solved to a quarter of the final target, or, where
+K is proven convex and not the same at every iterate, to the larger of that
+and eta times the KKT max-norm, eta being Eisenstat and Walker's forcing term
+(at most 0.1): an inexact Newton-Krylov method.  At a stationary final
+iterate whose K is not proven convex, CG from a fixed probe tests the
+curvature once more.  From the affine interpolant of the boundary
 values, steps backtrack on J (Armijo) or, with a constraint, on the KKT
 residual, until the residuals reach min(tol, 1e-12) or a full step changes J
 only by roundoff and does not halve them.  The steps and the final iterate's
@@ -28,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import os
 import resource
 from dataclasses import dataclass
 
@@ -146,12 +153,18 @@ class _Hessian:
     pi).  S = sqrt|w H_vv| is floored at 1e-3 of its largest value, or is 1
     where H_vv is 0 everywhere.  `scale` bounds |K|_inf, and with a
     constraint gradient a, u = a/|a| is the unit normal of the tangent space
-    and ku = K u."""
+    and ku = K u.  `convex` certifies K >= 0: the Lagrangian's 2 x 2 Hessian
+    in (y, v) is positive semidefinite at every node, so x^T K x, the sum of
+    w [H_vv (M x~)^2 + 2 H_yv (M x~) x~ + H_yy x~^2] over the nodes, is
+    nowhere negative."""
 
     def __init__(self, disc: Discretization, lagr, y: np.ndarray, v: np.ndarray, grad_i: np.ndarray | None):
         t, w, h, k, weights = disc.t, disc.w, disc.p.grid.h, disc.p.k, disc.left.weights
         self.disc = disc
         self.wvv, self.wyv, self.wyy = (w * d(t, y, v) for d in (lagr.dvv, lagr.dyv, lagr.dyy))
+        self.convex = bool(
+            np.all(self.wvv >= 0.0) and np.all(self.wyy >= 0.0) and np.all(self.wyv**2 <= self.wvv * self.wyy)
+        )
         # |D_c| <= 4/h and |k L| <= |k| sum|weights| bound M's row and column sums alike
         m_norm = 4.0 / h + abs(k) * float(np.sum(np.abs(weights)))
         self.scale = sum(
@@ -310,14 +323,23 @@ def _newton(disc: Discretization, opts: SolverOptions) -> tuple[_Iterate, int, b
     constant = p.f.quadratic and (p.g is None or p.g.affine)
     hess = None
     iters = 0
+    eta = 0.1
     while True:
         if hess is None:
             lagr = p.f if cur.lam is None else AugmentedLagrangian(p.f, p.g, cur.lam)
             hess = _Hessian(disc, lagr, cur.y, cur.v, cur.grad_i)
         if iters == opts.max_iters or (cur.gmax <= grad_target and abs(cur.constraint) <= constraint_target):
             break
-        # a step that leaves the gradient within its target is solved to a quarter of it
-        dx, dlam, indefinite = _newton_step(hess, cur, 0.25 * grad_target)
+        # a step that leaves the gradient within its target is solved to a
+        # quarter of it.  Where K changes from step to step and is proven
+        # convex, a step is solved only to eta times the KKT max-norm when
+        # that is larger (inexact Newton).  Where K is constant, one exact
+        # solve ends a quadratic problem; where it is not proven convex, CG
+        # stopped short of negative curvature would change the Newton path
+        target = 0.25 * grad_target
+        if hess.convex and not constant:
+            target = max(target, eta * cur.kkt_max)
+        dx, dlam, indefinite = _newton_step(hess, cur, target)
         if indefinite and constant:
             raise NoMinimizerError("no minimizer: Hessian indefinite, and J is quadratic, so unbounded below")
         nxt = None if dx is None else _line_search(disc, cur, dx, dlam)
@@ -325,15 +347,19 @@ def _newton(disc: Discretization, opts: SolverOptions) -> tuple[_Iterate, int, b
             break
         if not constant:
             hess = None
+        # Eisenstat and Walker's choice 2; a ratio past 1 gives 0.1 and is
+        # not squared, so that nothing overflows
+        eta = min(0.1, 0.9 * min(nxt.kkt_max / cur.kkt_max, 1.0) ** 2)
         cur = nxt
         iters += 1
     # a stationary point at which the Hessian (on the constraint's tangent
     # space) is indefinite is a saddle, not a minimizer.  The gradient may be
     # zero there, so CG tests the curvature from a fixed pseudorandom probe,
     # cos(i^2); while it meets none, CG cannot shrink the probe's part along
-    # a direction of negative curvature, so 1e-10 of it is out of reach
+    # a direction of negative curvature, so 1e-10 of it is out of reach.  A
+    # K proven convex needs no probe
     stationary = cur.gmax <= opts.grad_tol and abs(cur.constraint) <= opts.constraint_tol
-    if stationary:
+    if stationary and not hess.convex:
         probe = hess.project(np.cos(np.arange(len(cur.x), dtype=float) ** 2))
         if _shifted_solve(hess, probe, 1e-10 * float(np.max(np.abs(probe))))[1]:
             raise NoMinimizerError("no minimizer: Hessian indefinite at the stationary point reached")
@@ -352,11 +378,48 @@ def _proc_kib(path: str, key: str, default: float) -> float:
     return default
 
 
+def _cgroup_room(directory: str, limit_name: str, usage_name: str) -> float:
+    """A cgroup's memory limit less its usage, in bytes; inf where either file
+    is missing or unreadable, or the limit reads "max" or at least 2^62."""
+    try:
+        with open(os.path.join(directory, limit_name), encoding="ascii") as fh:
+            limit = float(fh.read())
+        with open(os.path.join(directory, usage_name), encoding="ascii") as fh:
+            usage = float(fh.read())
+    except (OSError, ValueError):
+        return math.inf
+    return math.inf if limit >= 2.0**62 else limit - usage
+
+
+def _cgroup_available(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
+    """Bytes the process's own memory cgroup still allows, under a v2
+    hierarchy (its `0::` line) or a v1 one (its `memory` line), the least
+    of the two; inf where neither sets a limit."""
+    try:
+        with open(proc, encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, ValueError):
+        return math.inf
+    avail = math.inf
+    for line in lines:
+        fields = line.split(":", 2)
+        if len(fields) != 3:
+            continue
+        hierarchy, controllers, path = fields
+        if hierarchy == "0" and not controllers:
+            avail = min(avail, _cgroup_room(os.path.join(root, path.lstrip("/")), "memory.max", "memory.current"))
+        elif "memory" in controllers.split(","):
+            directory = os.path.join(root, "memory", path.lstrip("/"))
+            avail = min(avail, _cgroup_room(directory, "memory.limit_in_bytes", "memory.usage_in_bytes"))
+    return avail
+
+
 def _memory_available() -> float:
     """Bytes this process can still allocate: the least of the system's
-    MemAvailable and the address-space limit less what the process has
-    mapped; inf where neither is known."""
-    avail = 1024.0 * _proc_kib("/proc/meminfo", "MemAvailable", math.inf)
+    MemAvailable, the room left in the process's memory cgroup, and the
+    address-space limit less what the process has mapped; inf where none is
+    known."""
+    avail = min(1024.0 * _proc_kib("/proc/meminfo", "MemAvailable", math.inf), _cgroup_available())
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     if limit != resource.RLIM_INFINITY:
         avail = min(avail, limit - 1024.0 * _proc_kib("/proc/self/status", "VmSize", 0.0))

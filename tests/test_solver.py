@@ -526,6 +526,36 @@ class TestHessianProduct:
         assert norm <= _Hessian(disc, p.f, y, v, None).scale <= 100.0 * norm
 
 
+class TestConvexCertificate:
+    @pytest.mark.parametrize(
+        "source, convex, indefinite",
+        [
+            ("v^4 + y^2", True, False),
+            ("sqrt(1+v^2)", True, False),
+            ("exp(v) + y^2", True, False),
+            ("v^2 + y^2 + y*v", True, False),
+            # H = [[2, 2], [2, 2]] is singular at every node: K >= 0, not > 0
+            ("v^2 + 2*y*v + y^2", True, False),
+            # H_yv^2 = 25 > H_vv H_yy = 24 v^2 where |v| < 1.02; K is still
+            # definite there, so the certificate is sufficient, not necessary
+            ("v^4 + y^2 + 5*y*v", False, False),
+            # H_vv < 0 at the boundary node t = 0 alone: every node counts
+            ("(t - 0.001)*v^2", False, False),
+            ("v^2 - 15*y^2", False, True),
+            ("v^2 - 15*y^2 + y*v", False, True),
+        ],
+    )
+    @pytest.mark.parametrize("k", [0.0, 0.7])
+    def test_agrees_with_least_eigenvalue(self, source, convex, indefinite, k):
+        # the pointwise certificate against the dense oracle's spectrum:
+        # where it holds, K has no eigenvalue below roundoff of |K|
+        p, disc, y, v = hessian_point(source, k, 101)
+        hess = _Hessian(disc, p.f, y, v, None)
+        assert hess.convex is convex
+        least = np.linalg.eigvalsh(hessian_of(disc, p.f, y, v))[0]
+        assert (least < -1e-12 * hess.scale) == indefinite
+
+
 #: The benchmark's solve problems: the criterion-4 problem, v^2+y^2 under
 #: G = v, and three nonlinear Lagrangians at k = 0.7, alpha = 0.3.
 BENCHMARK_PROBLEMS = [
@@ -554,6 +584,57 @@ def test_no_benchmark_problem_reaches_the_cg_cap(monkeypatch, n):
     assert runs and all(its < cap for its, cap in runs)
     # and CG's iterations do not grow with n
     assert max(its for its, _ in runs) <= 100
+
+
+def test_cg_budget_on_the_benchmark_problems(monkeypatch):
+    # Newton steps on a Hessian proven convex are solved only to their
+    # forcing term, and no convex final iterate is probed: 413 iterations
+    # on the three unconstrained problems with every step solved to the
+    # final target, 213 now
+    runs = []
+    cg = fracvar.solver._cg
+
+    def recorded(*args):
+        x, its = cg(*args)
+        runs.append(its)
+        return x, its
+
+    monkeypatch.setattr(fracvar.solver, "_cg", recorded)
+    totals, steps = [], []
+    for doc in BENCHMARK_PROBLEMS:
+        runs.clear()
+        p = _build_problem(dict(doc, a=0.0, b=1.0, n=1001))
+        sol = (solve_isoperimetric if p.constrained else solve_unconstrained)(p)
+        assert sol.converged
+        totals.append(sum(runs))
+        steps.append(sol.iterations)
+    assert all(n <= most for n, most in zip(steps, [2, 2, 5, 11, 4]))
+    assert sum(totals[2:]) <= 250
+
+
+@pytest.mark.parametrize(
+    "doc, probed",
+    [
+        (dict(F="v^2", G="v", xi=1.0, alpha=0.5, k=1.0, ya=0.0, yb="auto-reference"), False),
+        (dict(F="v^2 - 15*y^2 + y^4", alpha=0.5, k=0.0, ya=0.0, yb=1.0), True),
+    ],
+)
+def test_final_probe_runs_where_convexity_is_unproven(monkeypatch, doc, probed):
+    # one shifted solve per Newton step, and one more, from the probe, at a
+    # final iterate whose Hessian is not proven convex
+    convex = []
+    shifted_solve = fracvar.solver._shifted_solve
+
+    def recorded(hess, b, target):
+        convex.append(hess.convex)
+        return shifted_solve(hess, b, target)
+
+    monkeypatch.setattr(fracvar.solver, "_shifted_solve", recorded)
+    p = _build_problem(dict(doc, a=0.0, b=1.0, n=401))
+    sol = (solve_isoperimetric if p.constrained else solve_unconstrained)(p)
+    assert sol.converged
+    assert convex[-1] is not probed
+    assert len(convex) == sol.iterations + probed
 
 
 def _solve_cli(tmp_path, tag, doc):
@@ -676,6 +757,71 @@ class TestMemoryCheck:
         limit = 2**31
         monkeypatch.setattr(fracvar.solver.resource, "getrlimit", lambda which: (limit, limit))
         assert fracvar.solver._memory_available() < limit
+
+    def test_probe_reads_the_cgroup_limit(self, monkeypatch):
+        monkeypatch.setattr(fracvar.solver, "_cgroup_available", lambda: 2.0**20)
+        assert fracvar.solver._memory_available() == 2.0**20
+
+
+def cgroup_tree(tmp_path, membership, files):
+    """A fake /proc/self/cgroup holding membership, and a cgroup mount with
+    files, {relative path: content}; returns the two paths."""
+    proc, root = tmp_path / "cgroup", tmp_path / "fs"
+    proc.write_text(membership, encoding="ascii")
+    for name, content in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(content, encoding="ascii")
+    return str(proc), str(root)
+
+
+class TestCgroupLimit:
+    V1 = "5:devices:/\n4:memory:/jobs/j1\n1:cpu:/\n0::/\n"
+    V2 = "0::/jobs/j1\n"
+
+    def available(self, tmp_path, membership, files):
+        return fracvar.solver._cgroup_available(*cgroup_tree(tmp_path, membership, files))
+
+    def test_v2_limit(self, tmp_path):
+        files = {"jobs/j1/memory.max": "1000000\n", "jobs/j1/memory.current": "250000\n"}
+        assert self.available(tmp_path, self.V2, files) == 750_000
+
+    def test_v2_max_is_no_limit(self, tmp_path):
+        files = {"jobs/j1/memory.max": "max\n", "jobs/j1/memory.current": "250000\n"}
+        assert self.available(tmp_path, self.V2, files) == math.inf
+
+    def test_v1_limit(self, tmp_path):
+        files = {"memory/jobs/j1/memory.limit_in_bytes": "2000000\n", "memory/jobs/j1/memory.usage_in_bytes": "500000\n"}
+        assert self.available(tmp_path, self.V1, files) == 1_500_000
+
+    def test_v1_page_rounded_int64_max_is_no_limit(self, tmp_path):
+        files = {
+            "memory/jobs/j1/memory.limit_in_bytes": "9223372036854771712\n",
+            "memory/jobs/j1/memory.usage_in_bytes": "500000\n",
+        }
+        assert self.available(tmp_path, self.V1, files) == math.inf
+
+    def test_least_of_both_hierarchies(self, tmp_path):
+        files = {
+            "memory/jobs/j1/memory.limit_in_bytes": "2000000\n",
+            "memory/jobs/j1/memory.usage_in_bytes": "500000\n",
+            "jobs/j1/memory.max": "1000000\n",
+            "jobs/j1/memory.current": "0\n",
+        }
+        assert self.available(tmp_path, "4:memory:/jobs/j1\n0::/jobs/j1\n", files) == 1_000_000
+
+    def test_missing_file_is_no_limit(self, tmp_path):
+        assert self.available(tmp_path, self.V2, {"jobs/j1/memory.max": "1000000\n"}) == math.inf
+        assert fracvar.solver._cgroup_available(str(tmp_path / "absent"), str(tmp_path)) == math.inf
+
+    def test_unreadable_file_is_no_limit(self, tmp_path):
+        proc, root = cgroup_tree(tmp_path, self.V2, {"jobs/j1/memory.current": "250000\n"})
+        (tmp_path / "fs" / "jobs" / "j1" / "memory.max").mkdir()
+        assert fracvar.solver._cgroup_available(proc, root) == math.inf
+
+    def test_undecodable_membership_is_no_limit(self, tmp_path):
+        proc = tmp_path / "cgroup"
+        proc.write_bytes("0::/caf\u00e9\n".encode("utf-8"))
+        assert fracvar.solver._cgroup_available(str(proc), str(tmp_path)) == math.inf
 
 
 class TestHessianBuilds:
