@@ -330,12 +330,8 @@ def _newton(disc: Discretization, opts: SolverOptions) -> tuple[_Iterate, int, b
             hess = _Hessian(disc, lagr, cur.y, cur.v, cur.grad_i)
         if iters == opts.max_iters or (cur.gmax <= grad_target and abs(cur.constraint) <= constraint_target):
             break
-        # a step that leaves the gradient within its target is solved to a
-        # quarter of it.  Where K changes from step to step and is proven
-        # convex, a step is solved only to eta times the KKT max-norm when
-        # that is larger (inexact Newton).  Where K is constant, one exact
-        # solve ends a quadratic problem; where it is not proven convex, CG
-        # stopped short of negative curvature would change the Newton path
+        # inexact only on a convex, changing K: a constant K ends in one exact
+        # solve, and truncated CG on an unproven K could miss negative curvature
         target = 0.25 * grad_target
         if hess.convex and not constant:
             target = max(target, eta * cur.kkt_max)
@@ -378,17 +374,23 @@ def _proc_kib(path: str, key: str, default: float) -> float:
     return default
 
 
-def _cgroup_room(directory: str, limit_name: str, usage_name: str) -> float:
-    """A cgroup's memory limit less its usage, in bytes; inf where either file
-    is missing or unreadable, or the limit reads "max" or at least 2^62."""
+def _cgroup_room(directory: str, limit_name: str, usage_name: str, inactive_key: str) -> float:
+    """A cgroup's memory limit less its working set, in bytes: its usage less
+    the inactive file cache, which the kernel reclaims before the limit is
+    reached.  inf where a file or the `memory.stat` key is missing or
+    unreadable, or the limit reads "max" or at least 2^62."""
     try:
         with open(os.path.join(directory, limit_name), encoding="ascii") as fh:
             limit = float(fh.read())
+        if limit >= 2.0**62:
+            return math.inf
         with open(os.path.join(directory, usage_name), encoding="ascii") as fh:
             usage = float(fh.read())
-    except (OSError, ValueError):
+        with open(os.path.join(directory, "memory.stat"), encoding="ascii") as fh:
+            inactive = float(dict(line.split() for line in fh)[inactive_key])
+    except (OSError, ValueError, KeyError):
         return math.inf
-    return math.inf if limit >= 2.0**62 else limit - usage
+    return limit - (usage - inactive)
 
 
 def _cgroup_available(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
@@ -407,10 +409,12 @@ def _cgroup_available(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgro
             continue
         hierarchy, controllers, path = fields
         if hierarchy == "0" and not controllers:
-            avail = min(avail, _cgroup_room(os.path.join(root, path.lstrip("/")), "memory.max", "memory.current"))
+            directory = os.path.join(root, path.lstrip("/"))
+            avail = min(avail, _cgroup_room(directory, "memory.max", "memory.current", "inactive_file"))
         elif "memory" in controllers.split(","):
             directory = os.path.join(root, "memory", path.lstrip("/"))
-            avail = min(avail, _cgroup_room(directory, "memory.limit_in_bytes", "memory.usage_in_bytes"))
+            room = _cgroup_room(directory, "memory.limit_in_bytes", "memory.usage_in_bytes", "total_inactive_file")
+            avail = min(avail, room)
     return avail
 
 

@@ -778,25 +778,43 @@ class TestCgroupLimit:
     V1 = "5:devices:/\n4:memory:/jobs/j1\n1:cpu:/\n0::/\n"
     V2 = "0::/jobs/j1\n"
 
+    @staticmethod
+    def stat(key, value):
+        """A memory.stat with key among its lines."""
+        return f"anon 4096\n{key} {value}\nactive_file 8192\n"
+
     def available(self, tmp_path, membership, files):
         return fracvar.solver._cgroup_available(*cgroup_tree(tmp_path, membership, files))
 
     def test_v2_limit(self, tmp_path):
-        files = {"jobs/j1/memory.max": "1000000\n", "jobs/j1/memory.current": "250000\n"}
-        assert self.available(tmp_path, self.V2, files) == 750_000
+        files = {
+            "jobs/j1/memory.max": "1000000\n",
+            "jobs/j1/memory.current": "250000\n",
+            "jobs/j1/memory.stat": self.stat("inactive_file", 50000),
+        }
+        assert self.available(tmp_path, self.V2, files) == 800_000
 
     def test_v2_max_is_no_limit(self, tmp_path):
-        files = {"jobs/j1/memory.max": "max\n", "jobs/j1/memory.current": "250000\n"}
+        files = {
+            "jobs/j1/memory.max": "max\n",
+            "jobs/j1/memory.current": "250000\n",
+            "jobs/j1/memory.stat": self.stat("inactive_file", 0),
+        }
         assert self.available(tmp_path, self.V2, files) == math.inf
 
     def test_v1_limit(self, tmp_path):
-        files = {"memory/jobs/j1/memory.limit_in_bytes": "2000000\n", "memory/jobs/j1/memory.usage_in_bytes": "500000\n"}
-        assert self.available(tmp_path, self.V1, files) == 1_500_000
+        files = {
+            "memory/jobs/j1/memory.limit_in_bytes": "2000000\n",
+            "memory/jobs/j1/memory.usage_in_bytes": "500000\n",
+            "memory/jobs/j1/memory.stat": self.stat("total_inactive_file", 100000),
+        }
+        assert self.available(tmp_path, self.V1, files) == 1_600_000
 
     def test_v1_page_rounded_int64_max_is_no_limit(self, tmp_path):
         files = {
             "memory/jobs/j1/memory.limit_in_bytes": "9223372036854771712\n",
             "memory/jobs/j1/memory.usage_in_bytes": "500000\n",
+            "memory/jobs/j1/memory.stat": self.stat("total_inactive_file", 0),
         }
         assert self.available(tmp_path, self.V1, files) == math.inf
 
@@ -804,13 +822,33 @@ class TestCgroupLimit:
         files = {
             "memory/jobs/j1/memory.limit_in_bytes": "2000000\n",
             "memory/jobs/j1/memory.usage_in_bytes": "500000\n",
+            "memory/jobs/j1/memory.stat": self.stat("total_inactive_file", 0),
             "jobs/j1/memory.max": "1000000\n",
             "jobs/j1/memory.current": "0\n",
+            "jobs/j1/memory.stat": self.stat("inactive_file", 0),
         }
         assert self.available(tmp_path, "4:memory:/jobs/j1\n0::/jobs/j1\n", files) == 1_000_000
 
+    def test_cache_at_the_limit_is_room(self, tmp_path, monkeypatch):
+        # a cgroup whose usage is at its limit, nearly all of it inactive page
+        # cache the kernel reclaims on demand, still has room for a solve
+        files = {
+            "jobs/j1/memory.max": "1073741824\n",
+            "jobs/j1/memory.current": "1073741824\n",
+            "jobs/j1/memory.stat": self.stat("inactive_file", 1000000000),
+        }
+        tree = cgroup_tree(tmp_path, self.V2, files)
+        available = fracvar.solver._cgroup_available
+        assert available(*tree) == 1_000_000_000
+        monkeypatch.setattr(fracvar.solver, "_cgroup_available", lambda: available(*tree))
+        assert solve_unconstrained(dataclasses.replace(TestMemoryCheck.PROBLEM, grid=Grid(0.0, 1.0, 101))).converged
+
     def test_missing_file_is_no_limit(self, tmp_path):
         assert self.available(tmp_path, self.V2, {"jobs/j1/memory.max": "1000000\n"}) == math.inf
+        files = {"jobs/j1/memory.max": "1000000\n", "jobs/j1/memory.current": "250000\n"}
+        assert self.available(tmp_path, self.V2, files) == math.inf
+        files["jobs/j1/memory.stat"] = "active_file 0\n"
+        assert self.available(tmp_path, self.V2, files) == math.inf
         assert fracvar.solver._cgroup_available(str(tmp_path / "absent"), str(tmp_path)) == math.inf
 
     def test_unreadable_file_is_no_limit(self, tmp_path):
