@@ -1,25 +1,15 @@
 """Special functions: gamma and the complementary error function, which are
-math's, and the two-parameter Mittag-Leffler function over arrays of real z.
-
-The Mittag-Leffler function E_{alpha,beta}(z) has two routes:
-
-* |z| <= 1/2: its power series, which converges within ~60 terms and
-  cancels at most a few times over;
-* every other real z: Garrappa's inversion of its Laplace transform
-  s^(alpha-beta) / (s^alpha - z) (R. Garrappa, "Numerical evaluation of two
-  and three parameter Mittag-Leffler functions", SIAM J. Numer. Anal. 53,
-  2015).  The trapezoid rule runs on the parabolic contour
-  s = mu (1 + iu)^2 (Weideman and Trefethen, Math. Comp. 76, 2007), placed
-  between the singularities where it needs the fewest nodes, and the
-  residues of the poles to its right are added exactly.  For z < 0 and
-  alpha < 1 the transform has no pole on the principal sheet, so the
-  contour depends on (alpha, beta) alone and one contour serves every such
-  z; every other z places a contour of its own.
+math's, and the two-parameter Mittag-Leffler function E_{alpha,beta}(z),
+0 < alpha <= 1, over arrays of real z, by one of three routes chosen from z:
+its power series for |z| <= 1/2, the same series in logarithms for z > 1/2,
+where every term is positive, and for z < -1/2 Garrappa's inversion of the
+Laplace transform s^(alpha-beta) / (s^alpha - z) (SIAM J. Numer. Anal. 53,
+2015) on one parabolic contour s = mu (1 + iu)^2 (Weideman and Trefethen,
+Math. Comp. 76, 2007), which for alpha <= 1 has no pole right of the cut.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from math import erfc, gamma
@@ -39,56 +29,59 @@ _GAMMA_MAX = 171.624376956302
 
 _EPS = 2.220446049250313e-16
 _LOG_EPS = math.log(_EPS)
+#: Natural logarithm of the largest double: a value past it overflows.
+_LOG_MAX = math.log(np.finfo(float).max)
 #: Target relative accuracy of the contour integral, as a logarithm.
 _LOG_TOL = math.log(1e-15)
-#: e^s overflows double precision past this real part.
-_RE_MAX = 709.0
-#: z per block of the trapezoid sum, so that its complex temporary of
-#: 256 x (N + 1) <= 256 x 201 values stays under 1 MB at any number of z.
+#: z per block of the trapezoid sum: a complex temporary of <= 256 x 201 values.
 _BLOCK = 256
+#: Values per block of the positive series: a temporary of 512 kB.
+_BLOCK_VALUES = 1 << 16
 
 
 class MittagLefflerError(ArithmeticError):
-    """The Mittag-Leffler function overflows double precision."""
+    """E_{alpha,beta}(z) overflows double precision, or needs over 2^20 terms."""
 
 
 @dataclass(frozen=True)
 class MLParams:
-    """Parameters of the two-parameter Mittag-Leffler series; both must be > 0."""
+    """Parameters of E_{alpha,beta}: 0 < alpha <= 1 and a finite beta > 0."""
 
     alpha: float
     beta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0.0 and self.beta > 0.0):
+        if not (0.0 < self.alpha <= 1.0 and 0.0 < self.beta < math.inf):
             raise ValueError(
-                f"Mittag-Leffler parameters must be positive, got "
-                f"alpha={self.alpha!r}, beta={self.beta!r}"
+                f"Mittag-Leffler parameters need 0 < alpha <= 1 and a finite beta > 0, "
+                f"got alpha={self.alpha!r}, beta={self.beta!r}"
             )
 
 
 def mittag_leffler(p: MLParams, z: float | np.ndarray) -> float | np.ndarray:
     """Evaluate sum_{j>=0} z^j / gamma(alpha*j + beta) at each real z.
 
-    A float z gives a float; an array of z gives an array of its shape.  The
-    series serves |z| <= 1/2 and the contour integral every other z.  For
-    z < 0 the relative error is a few eps.  For z > 0 the value is about
-    e^(z^(1/alpha)) and its relative error about eps * z^(1/alpha), the
-    rounding of that exponent.  Past beta ~ 15 the contour's terms outgrow
-    the value, which loses digits: E_{1.5,20}(-5) is 2e-9 off.
-    MittagLefflerError is raised where a value overflows double precision.
+    A float z gives a float; an array of z gives an array of its shape.  For
+    z < 0 the relative error is a few eps, but past beta ~ 15 the contour's
+    terms outgrow the value: E_{0.5,40}(-2) is 3.72e-47, the contour gives
+    5.79e-47.  For z > 1/2 the value is about e^(z^(1/alpha)), its relative
+    error up to eps * z^(1/alpha) / alpha, the rounding of j log z at the
+    largest term, and near z = 1 it takes about 20 / alpha terms.
+    MittagLefflerError is raised where a value overflows double precision,
+    or where z > 1/2 needs more than 2^20 terms (alpha < 2e-5, z near 1).
     """
     zs = np.asarray(z, dtype=float)
     flat = zs.reshape(-1)
     out = np.empty(flat.size)
     series = np.abs(flat) <= 0.5
-    shared = ~series & (flat < 0.0) & (p.alpha < 1.0)
+    positive = flat > 0.5
+    contour = ~(series | positive)
     if series.any():
         out[series] = _series(p, flat[series])
-    if shared.any():
-        out[shared] = _contour(p, flat[shared], [])
-    for i in np.flatnonzero(~(series | shared)):
-        out[i] = _contour(p, flat[i:i + 1], _poles(p, float(flat[i])))[0]
+    if positive.any():
+        out[positive] = _positive(p, np.log(flat[positive]))
+    if contour.any():
+        out[contour] = _contour(p, flat[contour])
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
@@ -108,60 +101,66 @@ def _series(p: MLParams, z: np.ndarray) -> np.ndarray:
     return total
 
 
-def _poles(p: MLParams, z: float) -> list[complex]:
-    """Poles of s^(alpha-beta) / (s^alpha - z) on the principal sheet,
-    s* = |z|^(1/alpha) e^(i(theta + 2k pi)/alpha) with |arg s*| <= pi."""
-    theta = 0.0 if z > 0.0 else math.pi
-    k_min = math.ceil(-p.alpha / 2.0 - theta / (2.0 * math.pi))
-    k_max = math.floor(p.alpha / 2.0 - theta / (2.0 * math.pi))
-    poles = []
-    # |z|^(1/alpha) may overflow where no pole exists (z < 0 and alpha < 1),
-    # so it is taken only from here on
-    log_r = math.log(abs(z)) / p.alpha
-    for k in range(k_min, k_max + 1):
-        angle = (theta + 2.0 * math.pi * k) / p.alpha
-        cos = math.cos(angle)
-        if cos > 0.0 and log_r + math.log(cos) > math.log(_RE_MAX):
-            raise MittagLefflerError(
-                f"Mittag-Leffler function E_{{{p.alpha:g},{p.beta:g}}}({z:g}) overflows "
-                f"double precision: a pole s of its Laplace transform has Re s > {_RE_MAX:g}"
-            )
-        poles.append(cmath.rect(math.exp(log_r), angle))
-    return poles
-
-
-def _contour(p: MLParams, z: np.ndarray, poles: list[complex]) -> np.ndarray:
-    """E_{alpha,beta} at each z by the trapezoid rule on one parabolic
-    contour, which needs the poles of the transform to be the same at every
-    z: those of a single z, or none."""
-    # a pole s* bounds the parabolas that pass left of it by
-    # phi = (Re s* + |s*|) / 2; poles with phi = 0 lie on the branch cut,
-    # which every contour keeps to its left
-    def phi_of(s: complex) -> float:
-        return (s.real + abs(s)) / 2.0
-
-    poles = sorted((s for s in poles if phi_of(s) > 1e-15), key=phi_of)
-    # singularities by phi: the origin, whose strength comes from the branch
-    # point of s^(alpha-beta), then the simple poles; region j lies between
-    # singularity j and j + 1, and on the contour through it e^s must stay
-    # within tol/eps of the value
-    phi = [0.0, *map(phi_of, poles), math.inf]
-    strength = [max(0.0, -2.0 * (p.alpha - p.beta + 1.0)), *[1.0] * len(poles)]
-    regions = [
-        j for j in range(len(poles) + 1) if phi[j] < _LOG_TOL - _LOG_EPS and phi[j] < phi[j + 1]
-    ]
-    log_tol = _LOG_TOL
-    while True:
-        n, mu, h, j = min(
-            (*_unbounded_region(phi[j], strength[j], log_tol), j)
-            if math.isinf(phi[j + 1])
-            else (*_bounded_region(phi[j], phi[j + 1], strength[j], log_tol), j)
-            for j in regions
+def _positive(p: MLParams, log_z: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta}(z) from log z as the sum of e^(j log z - lgamma(alpha j + beta)),
+    scaled by its largest term: lgamma is convex, so its increments grow and
+    the terms rise until the first increment past log z, then fall."""
+    lg = _log_gamma_table(p, float(log_z.max()))
+    rise = np.diff(lg)
+    j = np.arange(lg.size, dtype=float)
+    out = np.empty(log_z.size)
+    rows = max(1, _BLOCK_VALUES // lg.size)
+    for b0 in range(0, log_z.size, rows):
+        w = log_z[b0:b0 + rows]
+        peak = np.searchsorted(rise, w)
+        top = peak * w - lg[peak]
+        t = np.multiply.outer(w, j)
+        t -= lg
+        t -= top[:, None]
+        np.exp(t, out=t)
+        with np.errstate(over="ignore"):
+            out[b0:b0 + rows] = np.exp(top) * t.sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise MittagLefflerError(
+            f"Mittag-Leffler function E_{{{p.alpha:g},{p.beta:g}}}({math.exp(log_z[bad[0]]):g}) "
+            f"overflows double precision"
         )
-        if n <= 200:
-            break
-        # as published: past 200 nodes, a tenth of the accuracy
+    return out
+
+
+def _log_gamma_table(p: MLParams, w: float) -> np.ndarray:
+    """lgamma(alpha j + beta) for j = 0 to J, where the terms at z = e^w (and
+    below) leave a tail under eps/4 of the sum, or one term overflows."""
+    lg = np.empty(0)
+    for size in 2 ** np.arange(6, 21):
+        lg = np.append(lg, [math.lgamma(p.alpha * j + p.beta) for j in range(lg.size, size)])
+        t = w * np.arange(size) - lg
+        top = t.max()
+        if not top <= _LOG_MAX:
+            return lg
+        # past the peak, term j + 1 / term j = e^(w - rise_j) only shrinks, so
+        # the tail past term j is below e^t_j / (e^(rise_j - w) - 1)
+        rise = np.diff(lg)
+        falling = np.flatnonzero(rise > w)
+        log_tail = t[falling] - np.log(np.expm1(rise[falling] - w))
+        done = falling[log_tail < top + _LOG_EPS - math.log(4.0)]
+        if done.size:
+            return lg[:done[0] + 1]
+    raise MittagLefflerError(
+        f"Mittag-Leffler function E_{{{p.alpha:g},{p.beta:g}}}({math.exp(w):g}) needs more than "
+        f"2^20 terms of its positive series"
+    )
+
+
+def _contour(p: MLParams, z: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta} at each z < 0 by the trapezoid rule on one parabolic contour."""
+    strength = max(0.0, -2.0 * (p.alpha - p.beta + 1.0))
+    log_tol = _LOG_TOL
+    # as published: past 200 nodes, a tenth of the accuracy
+    while (params := _contour_parameters(strength, log_tol))[0] > 200:
         log_tol += math.log(10.0)
+    n, mu, h = params
     u = h * np.arange(n + 1)
     s = mu * (1.0 + 1j * u) ** 2
     s_alpha = s**p.alpha
@@ -175,61 +174,22 @@ def _contour(p: MLParams, z: np.ndarray, poles: list[complex]) -> np.ndarray:
         # for real z the nodes at -u give the conjugates: f(-u) = -conj(f(u))
         integral[b0:b0 + _BLOCK] = 2.0 * f.imag.sum(axis=1) - f[:, 0].imag
     integral *= h / (2.0 * math.pi)
-    # the poles right of the contour
-    residues = sum((s ** (1.0 - p.beta) * cmath.exp(s) for s in poles[j:]), 0j) / p.alpha
-    integral += residues.real
     return integral
 
 
-def _bounded_region(
-    phi_j: float, phi_j1: float, p_j: float, log_tol: float
-) -> tuple[float, float, float]:
-    """Garrappa's OptimalParam_RB: (nodes N, mu, step h) of the contour
-    between singularity j of strength p_j and the simple pole j + 1."""
-    fac = 1.01
-    f_max = math.exp(log_tol - _LOG_EPS)
-    sq_j = math.sqrt(phi_j)
-    sq_j1 = min(math.sqrt(phi_j1), 2.0 * math.sqrt(log_tol - _LOG_EPS) - sq_j)
-    if p_j < 1e-14:
-        # only the origin (sq_j = 0) can be this weak
-        f_bar = fac + fac / f_max * (f_max - fac)
-        bar_j = sq_j
-        bar_j1 = 2.0 * sq_j1 / (2.0 + 1.0 / f_bar)
-    else:
-        f_min = fac * ((sq_j + sq_j1) / (sq_j1 - sq_j)) ** max(p_j, 1.0)
-        if f_min >= f_max:
-            return math.inf, 0.0, 0.0
-        f_min = max(f_min, 1.5)
-        f_bar = f_min + f_min / f_max * (f_max - f_min)
-        fp = f_bar ** (-1.0 / p_j)
-        fq = 1.0 / f_bar
-        w = -phi_j1 / log_tol
-        den = 2.0 + w - (1.0 + w) * fp + fq
-        bar_j = ((2.0 + w + fq) * sq_j + fp * sq_j1) / den
-        bar_j1 = (-(1.0 + w) * fq * sq_j + (2.0 + w - (1.0 + w) * fp) * sq_j1) / den
-    log_tol -= math.log(f_bar)
-    w = -bar_j1**2 / log_tol
-    mu = (((1.0 + w) * bar_j + bar_j1) / (2.0 + w)) ** 2
-    h = -2.0 * math.pi / log_tol * (bar_j1 - bar_j) / ((1.0 + w) * bar_j + bar_j1)
-    return math.ceil(math.sqrt(1.0 - log_tol / mu) / h), mu, h
-
-
-def _unbounded_region(phi_j: float, p_j: float, log_tol: float) -> tuple[float, float, float]:
-    """Garrappa's OptimalParam_RU: (nodes N, mu, step h) of the contour
-    right of the last singularity j, of strength p_j."""
-    sq_j = math.sqrt(phi_j)
-    phi_bar = 1.01 * phi_j if phi_j > 0.0 else 0.01
+def _contour_parameters(strength: float, log_tol: float) -> tuple[float, float, float]:
+    """Garrappa's OptimalParam_RU right of the branch point: (nodes N, mu, step h)."""
+    phi_bar = 0.01
     sq_bar = math.sqrt(phi_bar)
-    f_tar = 5.0
     while True:
         log_eps_phi = log_tol / phi_bar
         n = math.ceil(phi_bar / math.pi * (1.0 - 1.5 * log_eps_phi + math.sqrt(1.0 - 2.0 * log_eps_phi)))
         a = math.pi * n / phi_bar
         sq_mu = sq_bar * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
-        f_bar = ((sq_bar - sq_j) / sq_mu) ** (-p_j)
-        if p_j < 1e-14 or 1.0 < f_bar < 10.0:
+        f_bar = (sq_bar / sq_mu) ** (-strength)
+        if strength < 1e-14 or 1.0 < f_bar < 10.0:
             break
-        sq_bar = f_tar ** (-1.0 / p_j) * sq_mu + sq_j
+        sq_bar = 5.0 ** (-1.0 / strength) * sq_mu
         phi_bar = sq_bar**2
     mu = sq_mu**2
     h = (-3.0 * a - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
@@ -237,8 +197,8 @@ def _unbounded_region(phi_j: float, p_j: float, log_tol: float) -> tuple[float, 
     # roundoff: shrink the contour to that mu
     threshold = log_tol - _LOG_EPS
     if mu > threshold:
-        q = 0.0 if p_j < 1e-14 else f_tar ** (-1.0 / p_j) * math.sqrt(mu)
-        phi_bar = (q + sq_j) ** 2
+        q = 0.0 if strength < 1e-14 else 5.0 ** (-1.0 / strength) * math.sqrt(mu)
+        phi_bar = q**2
         if phi_bar >= threshold:
             return math.inf, 0.0, 0.0
         w = math.sqrt(_LOG_EPS / (_LOG_EPS - log_tol))

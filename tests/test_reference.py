@@ -92,18 +92,21 @@ class TestConvolutionExtremal:
         assert np.all(np.isfinite(y.values)) and y.values[-1] == 1e308
 
     def test_peak_memory_is_linear_in_n(self):
-        # the shared contour's trapezoid sum runs in blocks of 256 nodes; at
-        # alpha = 0.9 its 37 contour nodes would make one n x 37 complex
-        # temporary of 59 MB, 74 x 8n bytes
+        # k = 1: the shared contour's trapezoid sum runs in blocks of 256
+        # nodes; at alpha = 0.9 its 37 contour nodes would make one n x 37
+        # complex temporary of 59 MB, 74 x 8n bytes.  k = -1: the positive
+        # series runs in blocks of 2^16 values; its 179 terms would make
+        # one n x 179 temporary of 143 MB
         n = 100001
-        tracemalloc.start()
-        try:
-            y = ml_convolution_extremal(spec(alpha=0.9, n=n))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.all(np.isfinite(y.values))
-        assert peak <= 8 * 8 * n
+        for k in (1.0, -1.0):
+            tracemalloc.start()
+            try:
+                y = ml_convolution_extremal(spec(alpha=0.9, k=k, n=n))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.all(np.isfinite(y.values))
+            assert peak <= 8 * 8 * n, k
 
 
 class TestLimitFamilies:
