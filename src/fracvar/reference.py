@@ -53,8 +53,10 @@ def _extremal(spec: ReferenceSpec, t: np.ndarray) -> np.ndarray:
     """xi * (t / b) * E_{1-alpha,2}(-k * t^(1-alpha)) at the nodes t."""
     alpha = spec.order.alpha
     # float_power rounds as the C library's pow, which Python floats use, so
-    # z does not depend on whether t is one node or the whole grid
-    z = -spec.k * np.float_power(t, 1.0 - alpha)
+    # z does not depend on whether t is one node or the whole grid; z = +-inf
+    # is a meaningful argument, so its overflow is not warned of
+    with np.errstate(over="ignore"):
+        z = -spec.k * np.float_power(t, 1.0 - alpha)
     e = mittag_leffler(MLParams(1.0 - alpha, 2.0), z)
     with np.errstate(over="ignore", invalid="ignore"):
         y = spec.xi * (t / spec.grid.b) * e

@@ -72,6 +72,8 @@ def mittag_leffler(p: MLParams, z: float | np.ndarray) -> float | np.ndarray:
     """
     zs = np.asarray(z, dtype=float)
     flat = zs.reshape(-1)
+    if np.isposinf(flat).any():
+        raise _overflow(p, math.inf)
     out = np.empty(flat.size)
     series = np.abs(flat) <= 0.5
     positive = flat > 0.5
@@ -122,11 +124,14 @@ def _positive(p: MLParams, log_z: np.ndarray) -> np.ndarray:
             out[b0:b0 + rows] = np.exp(top) * t.sum(axis=1)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
-        raise MittagLefflerError(
-            f"Mittag-Leffler function E_{{{p.alpha:g},{p.beta:g}}}({math.exp(log_z[bad[0]]):g}) "
-            f"overflows double precision"
-        )
+        raise _overflow(p, math.exp(log_z[bad[0]]))
     return out
+
+
+def _overflow(p: MLParams, z: float) -> MittagLefflerError:
+    return MittagLefflerError(
+        f"Mittag-Leffler function E_{{{p.alpha:g},{p.beta:g}}}({z:g}) overflows double precision"
+    )
 
 
 def _log_gamma_table(p: MLParams, w: float) -> np.ndarray:

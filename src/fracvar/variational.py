@@ -3,21 +3,22 @@ functional and constraint values, the Euler-Lagrange residual, and the discrete
 gradient (first variation) with respect to interior node values.
 
 All of them, and the solver, go through one `Discretization` of the problem,
-which owns its left GL operator L, n weights applied by FFT, and is the one
-place where D^alpha acts on node values: `frac` is L y with the boundary
-split, and v = D_c y + k `frac`(y).  It also holds the products with
-M = D_c + k L and M^T, from which the solver forms its Hessian-vector
-products; the quadratures of the Lagrangian and its gradient, M^T applied to
-the weighted H_v; and the Euler-Lagrange residual, whose right operator is
-L^T.  All take O(n log n) time and O(n) memory.  The public functions build a
-Discretization per call; a solve builds one, and its certificate reads the
-same one.
+which owns its left GL operator L, n weights applied by FFT, and the one
+operator M = D_c + k L through which v depends on y: v = M y + y(a) c, where
+the boundary column c, computed once, corrects L for the singular derivative
+of a nonzero left value.  It holds the products with M and M^T, from which
+the solver forms its Hessian-vector products; the quadratures of the
+Lagrangian and its gradient, M^T applied to the weighted H_v; and the
+Euler-Lagrange residual, whose right operator is L^T.  All take O(n log n)
+time and O(n) memory.  The public functions build a Discretization per call;
+a solve builds one, and its certificate reads the same one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,6 @@ __all__ = [
     "MissingConstraintError",
     "BoundaryMismatchError",
     "Problem",
-    "CombinedDerivative",
     "ELResidual",
     "Discretization",
     "combined_derivative",
@@ -86,15 +86,6 @@ class Problem:
 
 
 @dataclass(frozen=True)
-class CombinedDerivative:
-    """v = y' + k * (left fractional derivative of y), with its two pieces."""
-
-    v: SampledFunction
-    yprime: SampledFunction
-    frac: SampledFunction
-
-
-@dataclass(frozen=True)
 class ELResidual:
     """Euler-Lagrange residual samples with interior-only norms."""
 
@@ -117,29 +108,32 @@ class Discretization:
         self.left = discrete_operators(p.grid, p.order)
         self.p, self.t, self.w = p, p.grid.nodes(), variational_weights(p.grid)
 
-    def frac(self, y: np.ndarray) -> np.ndarray:
-        """D^alpha y with the nonzero-boundary split.
+    @cached_property
+    def boundary_column(self) -> np.ndarray:
+        """c = k (s - L 1), with s_i = (t_i - a)^(-alpha) / Gamma(1 - alpha) for
+        i >= 1 and s_0 = L_00.
 
         The plain GL sum converges slowly through the singular part generated
-        by a nonzero left boundary value; splitting y = y(a) + (y - y(a)) and
-        adding the analytic derivative of the constant,
-        y(a) * (t-a)^(-alpha) / Gamma(1-alpha), restores accuracy at interior
+        by a nonzero left value; splitting y = y(a) + (y - y(a)) and taking the
+        analytic derivative of the constant, s, restores accuracy at interior
         nodes.  Node 0 keeps the plain GL value (the continuous derivative is
-        infinite there when y(a) != 0).
+        infinite there), so c_0 = 0.  L 1 is the running sum of the weights.
         """
-        fa = y[0]
-        out = self.left.matvec(y - fa)
-        if fa != 0.0:
-            alpha = self.p.order.alpha
-            out[1:] += fa * (self.t[1:] - self.p.grid.a) ** (-alpha) / gamma(1.0 - alpha)
-            out[0] = self.left.weights[0] * fa
-        return out
+        alpha, weights = self.p.order.alpha, self.left.weights
+        s = np.empty(len(weights))
+        s[0] = weights[0]
+        s[1:] = (self.t[1:] - self.p.grid.a) ** (-alpha) / gamma(1.0 - alpha)
+        return self.p.k * (s - np.cumsum(weights))
 
     def v(self, y: np.ndarray) -> np.ndarray:
-        return derivative_stencil(y, self.p.grid.h) + self.p.k * self.frac(y)
+        """v = M y + y(a) c: y' + k D^alpha y with the boundary split."""
+        v = self.m_matvec(y)
+        if y[0] != 0.0:
+            v += y[0] * self.boundary_column
+        return v
 
     def m_matvec(self, x: np.ndarray) -> np.ndarray:
-        """M x, with M = D_c + k L: v depends on y through M (the split adds a constant)."""
+        """M x, with M = D_c + k L: v is M y plus a multiple of the boundary column."""
         return derivative_stencil(x, self.p.grid.h) + self.p.k * self.left.matvec(x)
 
     def m_rmatvec(self, g: np.ndarray) -> np.ndarray:
@@ -179,15 +173,10 @@ def _check_grid(p: Problem, y: SampledFunction) -> None:
         raise GridMismatchError("trajectory is sampled on a different grid")
 
 
-def combined_derivative(p: Problem, y: SampledFunction) -> CombinedDerivative:
-    """Evaluate v = y' + k * left fractional derivative (with boundary split)."""
+def combined_derivative(p: Problem, y: SampledFunction) -> SampledFunction:
+    """v = y' + k * left fractional derivative (with the boundary split): `Discretization.v`."""
     _check_grid(p, y)
-    yprime, frac = derivative_stencil(y.values, p.grid.h), Discretization(p).frac(y.values)
-    return CombinedDerivative(
-        v=SampledFunction(p.grid, yprime + p.k * frac),
-        yprime=SampledFunction(p.grid, yprime),
-        frac=SampledFunction(p.grid, frac),
-    )
+    return SampledFunction(p.grid, Discretization(p).v(y.values))
 
 
 def _lagrangian_for(p: Problem, lam: float | None):

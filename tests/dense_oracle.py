@@ -20,8 +20,8 @@ HESSIAN_BLOCKS = 8
 
 
 def dense_m(disc):
-    """Dense M = D_c + k L, in Fortran order: v depends on y through M (the
-    split adds a constant).  Row i is zero past column i + 2.  Column j of
+    """Dense M = D_c + k L, in Fortran order: v is M y plus y(a) times the
+    boundary column.  Row i is zero past column i + 2.  Column j of
     k L is k times the weights, shifted down by j.  D_c's bands are the rows
     of the 3 x 3 identity's stencil: node 0, inside, node n - 1."""
     n = disc.p.grid.n

@@ -140,7 +140,7 @@ def test_criterion_05_defining_relation():
         spec = ReferenceSpec(k=1.0, order=FracOrder(0.5), xi=1.0, grid=grid)
         y = ml_convolution_extremal(spec)
         p = quadratic_problem(0.5, 1.0, n, float(y.values[-1]))
-        v = combined_derivative(p, y).v.values
+        v = combined_derivative(p, y).values
         devs.append(float(np.max(np.abs(v[1:-1] - 1.0))))
     ok = devs[0] > devs[1] > devs[2] and devs[-1] <= 3e-2
     assert report(
@@ -234,7 +234,7 @@ def test_criterion_08_sign_resolution():
         fine, np.array([closed_form_alpha_half(float(ti), 1.0) for ti in fine.nodes()])
     )
     p = quadratic_problem(0.5, 1.0, 2001, float(y_win.values[-1]))
-    v = combined_derivative(p, y_win).v.values
+    v = combined_derivative(p, y_win).values
     dev_v = float(np.max(np.abs(v[1:-1] - 1.0)))
     ok = exactly_one and dev_v <= 3e-2
     assert report(

@@ -94,6 +94,18 @@ class TestSolve:
         assert not (tmp_path / "problem.out.csv").exists()
         assert caught == []
 
+    @pytest.mark.parametrize("doc", [dict(F="y+v"), dict(F="v", G="v", xi=1.0)])
+    def test_zero_hessian(self, tmp_path, capsys, doc):
+        # F and G linear in (y, v): K is zero, so there is no Newton step
+        path = write_problem(tmp_path, **doc)
+        out_csv = tmp_path / "sol.csv"
+        code, out, _ = run(capsys, "solve", path, "--out", out_csv)
+        assert code == EXIT_NOCONV
+        summary = json.loads(out.strip())
+        assert summary["converged"] is False
+        assert summary["iterations"] == 0
+        assert len(out_csv.read_text().splitlines()) == 102
+
     def test_ignored_solver_keys(self, tmp_path, capsys):
         # options of the retired L-BFGS stage and multiplier search are
         # unknown keys, not silently ignored ones
@@ -599,6 +611,30 @@ class TestReference:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Mittag-Leffler" in err
+
+    def test_more_than_2_20_terms(self, capsys):
+        # E_{1e-5,2}(1): the positive series needs about 20 / 1e-5 terms
+        code, out, err = run(capsys, "reference", "--alpha", 0.99999, "--k", -1, "--xi", 1, "--n", 5)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "more than 2^20 terms" in err
+
+    @pytest.mark.parametrize("k, code", [(-1e308, EXIT_DOMAIN), (1e308, EXIT_OK)])
+    def test_infinite_argument(self, capsys, k, code):
+        # -k t^(1-alpha) overflows to +inf, whose value overflows, or to -inf,
+        # where E_{1-alpha,2} is 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, out, err = run(capsys, "reference", "--alpha", 0.5, f"--k={k!r}", "--xi", 1, "--n", 5, "--b", 1e10)
+        assert got == code
+        assert caught == []
+        if code == EXIT_OK:
+            assert err == ""
+            assert [float(line.split(",")[1]) for line in out.splitlines()[1:6]] == [0.0] * 5
+        else:
+            assert out == "" and err.count("\n") == 1
+            assert "E_{0.5,2}(inf) overflows" in err
 
     def test_overflowing_extremal(self, tmp_path, capsys):
         # every Mittag-Leffler value is finite, but xi * t * E is not

@@ -64,7 +64,7 @@ class TestConvolutionExtremal:
                 ya=0.0,
                 yb=float(y.values[-1]),
             )
-            v = combined_derivative(p, y).v.values
+            v = combined_derivative(p, y).values
             devs.append(float(np.max(np.abs(v[1:-1] - 1.0 / b))))
         assert devs[0] > devs[1] > devs[2]
         assert devs[-1] <= 5e-3

@@ -856,6 +856,17 @@ class TestCgroupLimit:
         (tmp_path / "fs" / "jobs" / "j1" / "memory.max").mkdir()
         assert fracvar.solver._cgroup_available(proc, root) == math.inf
 
+    def test_malformed_membership_line_is_skipped(self, tmp_path):
+        files = {
+            "jobs/j1/memory.max": "1000000\n",
+            "jobs/j1/memory.current": "250000\n",
+            "jobs/j1/memory.stat": self.stat("inactive_file", 50000),
+        }
+        assert self.available(tmp_path, "garbage\n" + self.V2, files) == 800_000
+
+    def test_missing_proc_file_is_the_default(self, tmp_path):
+        assert fracvar.solver._proc_kib(str(tmp_path / "absent"), "MemAvailable", 7.0) == 7.0
+
     def test_undecodable_membership_is_no_limit(self, tmp_path):
         proc = tmp_path / "cgroup"
         proc.write_bytes("0::/caf\u00e9\n".encode("utf-8"))

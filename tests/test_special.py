@@ -188,6 +188,13 @@ class TestMittagLeffler:
         with pytest.raises(MittagLefflerError, match="Mittag-Leffler"):
             mittag_leffler(MLParams(alpha, beta), z)
 
+    def test_infinite_argument(self):
+        # no arithmetic on an infinite z, so no RuntimeWarning
+        p = MLParams(0.5, 2.0)
+        with pytest.raises(MittagLefflerError, match=r"E_\{0.5,2\}\(inf\) overflows"):
+            mittag_leffler(p, math.inf)
+        assert mittag_leffler(p, -math.inf) == 0.0
+
     def test_large_beta_against_laplace_inversion(self):
         # beta >= 1.5 and |z| up to 1e3, where no series oracle converges and
         # the contour often trades digits for nodes; oracle: mpmath's Talbot

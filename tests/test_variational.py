@@ -165,24 +165,16 @@ class TestCombinedDerivative:
     def test_k_zero_reduces_to_classical(self):
         p = make_problem(k=0.0)
         y = on_grid(p, lambda t: np.sin(t))
-        cd = combined_derivative(p, y)
-        np.testing.assert_array_equal(cd.v.values, cd.yprime.values)
+        v = combined_derivative(p, y).values
+        np.testing.assert_array_equal(v, derivative_stencil(y.values, p.grid.h))
 
     def test_small_k_continuity(self):
         p0 = make_problem(k=0.0)
         p1 = make_problem(k=1e-10)
         y = on_grid(p0, lambda t: t * (1.0 - t))
-        v0 = combined_derivative(p0, y).v.values
-        v1 = combined_derivative(p1, y).v.values
+        v0 = combined_derivative(p0, y).values
+        v1 = combined_derivative(p1, y).values
         np.testing.assert_allclose(v1, v0, atol=1e-9)
-
-    def test_pieces_sum(self):
-        p = make_problem(k=2.0, alpha=0.3)
-        y = on_grid(p, lambda t: t**2)
-        cd = combined_derivative(p, y)
-        np.testing.assert_allclose(
-            cd.v.values, cd.yprime.values + 2.0 * cd.frac.values, rtol=1e-14
-        )
 
     def test_v_is_the_boundary_split(self):
         # D^alpha y is L (y - ya) plus the derivative of the constant ya,
@@ -196,7 +188,21 @@ class TestCombinedDerivative:
         frac = left.matvec(y - ya)
         frac[1:] += ya * (t[1:] - p.grid.a) ** (-alpha) / gamma(1.0 - alpha)
         frac[0] = left.weights[0] * ya
-        assert np.array_equal(Discretization(p).v(y), derivative_stencil(y, p.grid.h) + k * frac)
+        v = Discretization(p).v(y)
+        # v rounds L (y - ya) as L y - ya L 1
+        want = derivative_stencil(y, p.grid.h) + k * frac
+        assert np.max(np.abs(v - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("ya", [0.0, 0.3, -0.4])
+    def test_v_is_m_plus_the_boundary_column(self, ya):
+        p = make_problem(k=-0.5, alpha=0.4, n=41, ya=ya)
+        disc = Discretization(p)
+        t = p.grid.nodes()
+        y = ya + (1.0 - ya) * t + 0.2 * np.sin(math.pi * t)
+        c = disc.boundary_column
+        assert c[0] == 0.0
+        want = disc.m_matvec(y) if ya == 0.0 else disc.m_matvec(y) + ya * c
+        assert disc.v(y).tobytes() == want.tobytes()
 
     def test_grid_mismatch(self):
         p = make_problem(n=101)
@@ -276,7 +282,7 @@ class TestELResidual:
         )
         t = p.grid.nodes()
         y = on_grid(p, lambda t: ya + (1.0 - ya) * t + 0.2 * np.sin(math.pi * t))
-        v = combined_derivative(p, y).v.values
+        v = combined_derivative(p, y).values
         h = AugmentedLagrangian(p.f, p.g, 1.5)
         right = dense_left(p.grid, p.order).T
         d3 = h.dv(t, y.values, v)
