@@ -450,8 +450,8 @@ def _check_memory(n: int) -> None:
 def _solve(p: Problem, opts: SolverOptions) -> Solution:
     # an overflow in a trial point is a rejected step, never a warning
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        disc = Discretization(p)
         _check_memory(p.grid.n)
+        disc = Discretization(p)
         cur, iters, converged = _newton(disc, opts)
     return Solution(
         y=SampledFunction(p.grid, cur.y),

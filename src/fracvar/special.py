@@ -1,12 +1,11 @@
 """Special functions: gamma and the complementary error function, which are
 math's, and the two-parameter Mittag-Leffler function E_{alpha,beta}(z),
-0 < alpha <= 1, over arrays of real z, by one of three routes chosen from z:
-its power series for |z| <= 1/2, the same series in logarithms for z > 1/2,
-where every term is positive, and for z < -1/2 Garrappa's inversion of the
-Laplace transform s^(alpha-beta) / (s^alpha - z) (SIAM J. Numer. Anal. 53,
-2015) on one parabolic contour s = mu (1 + iu)^2 (Weideman and Trefethen,
-Math. Comp. 76, 2007), which for alpha <= 1 has no pole right of the cut.
-"""
+0 < alpha <= 1, over arrays of real z, by one of two sums chosen from z: for
+z >= -1/2 its power series in logarithms, each term scaled by the largest,
+and for z < -1/2 Garrappa's inversion of the Laplace transform
+s^(alpha-beta) / (s^alpha - z) (SIAM J. Numer. Anal. 53, 2015) on one
+parabolic contour s = mu (1 + iu)^2 (Weideman and Trefethen, Math. Comp. 76,
+2007), which for alpha <= 1 has no pole right of the cut."""
 
 from __future__ import annotations
 
@@ -24,9 +23,6 @@ __all__ = [
     "mittag_leffler",
 ]
 
-#: Largest x for which gamma(x) is finite in IEEE double precision.
-_GAMMA_MAX = 171.624376956302
-
 _EPS = 2.220446049250313e-16
 _LOG_EPS = math.log(_EPS)
 #: Natural logarithm of the largest double: a value past it overflows.
@@ -35,7 +31,7 @@ _LOG_MAX = math.log(np.finfo(float).max)
 _LOG_TOL = math.log(1e-15)
 #: z per block of the trapezoid sum: a complex temporary of <= 256 x 201 values.
 _BLOCK = 256
-#: Values per block of the positive series: a temporary of 512 kB.
+#: Values per block of the series: a temporary of 512 kB.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -62,11 +58,13 @@ def mittag_leffler(p: MLParams, z: float | np.ndarray) -> float | np.ndarray:
     """Evaluate sum_{j>=0} z^j / gamma(alpha*j + beta) at each real z.
 
     A float z gives a float; an array of z gives an array of its shape.  For
-    z < 0 the relative error is a few eps, but past beta ~ 15 the contour's
-    terms outgrow the value: E_{0.5,40}(-2) is 3.72e-47, the contour gives
-    5.79e-47.  For z > 1/2 the value is about e^(z^(1/alpha)), its relative
-    error up to eps * z^(1/alpha) / alpha, the rounding of j log z at the
-    largest term, and near z = 1 it takes about 20 / alpha terms.
+    |z| <= 1/2 the relative error is a few eps, at large beta up to
+    eps * lgamma(beta), the rounding of the largest term's logarithm.  For
+    z < -1/2 it is a few eps, but past beta ~ 15 the contour's terms outgrow
+    the value: E_{0.5,40}(-2) is 3.72e-47, the contour gives 5.79e-47.  For
+    z > 1/2 the value is about e^(z^(1/alpha)), its relative error up to
+    eps * z^(1/alpha) / alpha, the rounding of j log z at the largest term,
+    and near z = 1 it takes about 20 / alpha terms.
     MittagLefflerError is raised where a value overflows double precision,
     or where z > 1/2 needs more than 2^20 terms (alpha < 2e-5, z near 1).
     """
@@ -75,56 +73,49 @@ def mittag_leffler(p: MLParams, z: float | np.ndarray) -> float | np.ndarray:
     if np.isposinf(flat).any():
         raise _overflow(p, math.inf)
     out = np.empty(flat.size)
-    series = np.abs(flat) <= 0.5
-    positive = flat > 0.5
-    contour = ~(series | positive)
+    contour = ~(flat >= -0.5)  # and NaN
+    zero = flat == 0.0
+    series = ~(contour | zero)
+    if zero.any():
+        # the first term alone, subnormal past beta = 171.6
+        out[zero] = 1.0 / math.gamma(p.beta) if p.beta < 171.0 else math.exp(-math.lgamma(p.beta))
     if series.any():
         out[series] = _series(p, flat[series])
-    if positive.any():
-        out[positive] = _positive(p, np.log(flat[positive]))
     if contour.any():
         out[contour] = _contour(p, flat[contour])
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 def _series(p: MLParams, z: np.ndarray) -> np.ndarray:
-    # for |z| <= 1/2 the term ratio |z| gamma(x) / gamma(x + alpha) is at
-    # most 1 after the first term and falls from there, so the tail is
-    # within a few times the last term; each z stops at its own term
-    total = np.zeros(z.size)
-    live = np.arange(z.size)
-    j = 0
-    while live.size and (x := p.alpha * j + p.beta) < _GAMMA_MAX:  # 1/gamma(x) underflows past it
-        term = z[live] ** j / math.gamma(x)
-        total[live] += term
-        if j > 0:
-            live = live[~(np.abs(term) <= 0.25 * _EPS * np.abs(total[live]))]
-        j += 1
-    return total
-
-
-def _positive(p: MLParams, log_z: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta}(z) from log z as the sum of e^(j log z - lgamma(alpha j + beta)),
+    """E_{alpha,beta} at each z >= -1/2, z != 0, as the sum of (-1)^j e^(j w -
+    lgamma(alpha j + beta)) for z < 0 (without the sign for z > 0), w = log|z|,
     scaled by its largest term: lgamma is convex, so its increments grow and
-    the terms rise until the first increment past log z, then fall."""
-    lg = _log_gamma_table(p, float(log_z.max()))
+    the terms rise until the first increment past w, then fall: for
+    -1/2 <= z < 0 the signed terms fall after at most a first peak, so little
+    cancels.  z is overwritten by w."""
+    negative = z < 0.0
+    w = np.log(np.abs(z, out=z), out=z)
+    lg = _log_gamma_table(p, float(w.max()))
     rise = np.diff(lg)
     j = np.arange(lg.size, dtype=float)
-    out = np.empty(log_z.size)
+    out = np.empty(w.size)
     rows = max(1, _BLOCK_VALUES // lg.size)
-    for b0 in range(0, log_z.size, rows):
-        w = log_z[b0:b0 + rows]
-        peak = np.searchsorted(rise, w)
-        top = peak * w - lg[peak]
-        t = np.multiply.outer(w, j)
+    block = np.empty((min(rows, w.size), lg.size))
+    for b0 in range(0, w.size, rows):
+        wb = w[b0:b0 + rows]
+        peak = np.searchsorted(rise, wb)
+        top = peak * wb - lg[peak]
+        t = np.multiply.outer(wb, j, out=block[:wb.size])
         t -= lg
         t -= top[:, None]
         np.exp(t, out=t)
+        odd = t[:, 1::2]
+        np.negative(odd, out=odd, where=negative[b0:b0 + rows, None])
         with np.errstate(over="ignore"):
             out[b0:b0 + rows] = np.exp(top) * t.sum(axis=1)
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        raise _overflow(p, math.exp(log_z[bad[0]]))
+    finite = np.isfinite(out)
+    if not finite.all():  # only a z > 1/2 overflows
+        raise _overflow(p, math.exp(w[np.argmin(finite)]))
     return out
 
 
@@ -148,13 +139,14 @@ def _log_gamma_table(p: MLParams, w: float) -> np.ndarray:
         # the tail past term j is below e^t_j / (e^(rise_j - w) - 1)
         rise = np.diff(lg)
         falling = np.flatnonzero(rise > w)
-        log_tail = t[falling] - np.log(np.expm1(rise[falling] - w))
+        with np.errstate(over="ignore"):  # rise - w passes 709 for z near 0
+            log_tail = t[falling] - np.log(np.expm1(rise[falling] - w))
         done = falling[log_tail < top + _LOG_EPS - math.log(4.0)]
         if done.size:
             return lg[:done[0] + 1]
     raise MittagLefflerError(
         f"Mittag-Leffler function E_{{{p.alpha:g},{p.beta:g}}}({math.exp(w):g}) needs more than "
-        f"2^20 terms of its positive series"
+        f"2^20 terms of its series"
     )
 
 

@@ -94,19 +94,20 @@ class TestConvolutionExtremal:
     def test_peak_memory_is_linear_in_n(self):
         # k = 1: the shared contour's trapezoid sum runs in blocks of 256
         # nodes; at alpha = 0.9 its 37 contour nodes would make one n x 37
-        # complex temporary of 59 MB, 74 x 8n bytes.  k = -1: the positive
-        # series runs in blocks of 2^16 values; its 179 terms would make
-        # one n x 179 temporary of 143 MB
+        # complex temporary of 59 MB, 74 x 8n bytes.  k = -1: the series
+        # runs in blocks of 2^16 values; its 179 terms would make one
+        # n x 179 temporary of 143 MB.  At alpha = 0.5, k = 0.4 every node
+        # is on the series with z in [-1/2, 0], and at k = 1 a quarter of them
         n = 100001
-        for k in (1.0, -1.0):
+        for alpha, k in ((0.9, 1.0), (0.9, -1.0), (0.5, 0.4), (0.5, 1.0)):
             tracemalloc.start()
             try:
-                y = ml_convolution_extremal(spec(alpha=0.9, k=k, n=n))
+                y = ml_convolution_extremal(spec(alpha=alpha, k=k, n=n))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert np.all(np.isfinite(y.values))
-            assert peak <= 8 * 8 * n, k
+            assert peak <= 8 * 8 * n, (alpha, k)
 
 
 class TestLimitFamilies:

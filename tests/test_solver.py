@@ -741,8 +741,12 @@ class TestMemoryCheck:
     PROBLEM = Problem(V2, 1.0, FracOrder(0.5), Grid(0.0, 1.0, N), 0.0, 1.0)
 
     def test_refused_before_the_newton_loop(self, monkeypatch):
-        # room for half the arrays a solve holds: refused before any step
+        # room for half the arrays a solve holds: refused before any step,
+        # and before the operator's weights, nodes and quadrature are made
         monkeypatch.setattr(fracvar.solver, "_memory_available", lambda: 0.5 * _ARRAYS_PER_SOLVE * 8 * self.N)
+        monkeypatch.setattr(
+            fracvar.variational, "assemble_frac_operator", lambda *args: pytest.fail("the operator was assembled")
+        )
         monkeypatch.setattr(fracvar.solver, "_newton", lambda *args: pytest.fail("the Newton loop started"))
         with pytest.raises(MemoryError, match=f"a solve at n = {self.N} holds about 37 MB of arrays of n doubles"):
             solve_unconstrained(self.PROBLEM)

@@ -101,6 +101,9 @@ class TestMittagLeffler:
             1.0 / gamma(2.5), rel=1e-15
         )
         assert mittag_leffler(MLParams(0.7, 1.0), 0.0) == 1.0
+        # past beta = 171.6 gamma(beta) overflows, and 1/gamma(beta) is subnormal
+        p = MLParams(0.7, 172.0)
+        assert mittag_leffler(p, 0.0) == mittag_leffler(p, 1e-300) > 0.0
 
     def test_erfc_identity_point(self):
         # E_{1/2,1}(-1) = e * erfc(1), with erfc from the verified oracle above
@@ -233,17 +236,42 @@ class TestMittagLeffler:
         value = mittag_leffler(MLParams(alpha, beta), z)
         assert value == pytest.approx(series_60_digits(alpha, beta, z), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "alpha, beta, z",
+        [
+            # lgamma falls at first, so the terms rise before they fall
+            (0.3, 0.3, -0.5),
+            (1.0, 0.1, -0.4),
+            (0.01, 0.01, -0.5),
+            (0.001, 2.0, -0.5),
+            (0.7, 2.5, -0.49),
+            # lgamma(40) = 106, whose rounding bounds the relative error
+            (0.5, 40.0, -0.3),
+            (0.5, 40.0, 0.3),
+        ],
+    )
+    def test_series_near_zero(self, alpha, beta, z):
+        # for |z| <= 1/2 the signed terms of the series in logarithms fall
+        # after at most a first peak, so the alternating sum keeps its digits
+        value = mittag_leffler(MLParams(alpha, beta), z)
+        assert value == pytest.approx(series_60_digits(alpha, beta, z), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("z", [1e-300, -1e-300, 5e-324, -5e-324])
+    def test_tiny_argument(self, z):
+        # log|z| near -745 sizes the lgamma table without an overflow
+        # warning, and every term past the first underflows
+        assert mittag_leffler(MLParams(0.5, 2.0), z) == 1.0 / gamma(2.0)
+
 
 class TestArrays:
     @pytest.mark.parametrize("alpha, beta", [(0.6, 2.0)])
     def test_each_element_is_its_one_node_call(self, alpha, beta):
-        # all three routes in one array: the series (|z| <= 1/2), the contour
-        # that every z < -1/2 shares, and the positive series for z > 1/2
-        # (as for k < 0 in the reference extremal), whose lgamma table is
-        # sized by the largest z; 2 * 256 + 3 elements cross the shared
-        # contour's blocks
+        # both sums in one array: the series for z >= -1/2 (as for k < 0 in
+        # the reference extremal), whose lgamma table is sized by the largest
+        # |z| and never by a zero, and the contour that every z < -1/2
+        # shares; 2 * 256 + 6 elements cross the shared contour's blocks
         p = MLParams(alpha, beta)
-        z = np.concatenate([[-0.0, 0.5, -0.5], np.linspace(-30.0, 3.0, 2 * 256)])
+        z = np.concatenate([[-0.0, 0.5, -0.5, 0.0, 1e-300, -1e-300], np.linspace(-30.0, 3.0, 2 * 256)])
         values = mittag_leffler(p, z)
         assert values.shape == z.shape
         assert values[0] == 1.0 / gamma(beta)
@@ -263,7 +291,7 @@ class TestArrays:
     )
     def test_reference_kernel_on_the_shared_contour(self, alpha, k):
         # E_{1-alpha,2}(-k t^(1-alpha)) at five grid nodes past |z| = 1/2:
-        # on the shared contour for k > 0, on the positive series for k < 0
+        # on the shared contour for k > 0, on the series for k < 0
         # (alpha = 0.999 there is tests/test_cli.py's first_parameter_near_zero).
         # Oracle: the series in arithmetic of 40 digits more than its peak
         # term, except where it needs over 10^4 terms (alpha = 0.999) or
