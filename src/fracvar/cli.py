@@ -8,8 +8,8 @@ significant digits so runs are byte-reproducible.
 Exit codes: 0 success/converged, 2 parse/schema/precondition error,
 3 solver non-convergence, no minimizer, or an abnormal (multiplier-free)
 constraint, 4 numeric domain error, or out of memory: every command holds a
-few dozen arrays of n values at most, and a solve is refused before it makes
-them where they would not fit.
+few dozen arrays of n values at most, and is refused before it makes them
+where they would not fit.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .solver import (
     AbnormalConstraintError,
     NoMinimizerError,
     SolverOptions,
+    _check_memory,
     _finite,
     solve_isoperimetric,
     solve_unconstrained,
@@ -42,6 +43,12 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_NOCONV = 3
 EXIT_DOMAIN = 4
+
+#: The tracemalloc peaks of a reference and a residual check, in arrays of n
+#: doubles, with room to spare: about 23 (most of it the CSV text) and 16 at
+#: n = 100001
+_ARRAYS_PER_REFERENCE = 32
+_ARRAYS_PER_RESIDUAL = 24
 
 _PROBLEM_KEYS = {"schema", "F", "G", "xi", "a", "b", "alpha", "k", "n", "ya", "yb", "solver"}
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverOptions)}
@@ -202,6 +209,7 @@ def cmd_residual(args: argparse.Namespace) -> int:
     doc = _load_problem_file(args.file, args.n)
     p = _build_problem(doc)
     _require(args.lam is None or _finite(args.lam), "--lambda must be a finite number")
+    _check_memory(p.grid.n, _ARRAYS_PER_RESIDUAL, "a residual check")
     y = _read_trajectory_csv(args.y, p.grid)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         res = el_residual(p, y, args.lam)
@@ -221,6 +229,7 @@ def cmd_reference(args: argparse.Namespace) -> int:
     grid = Grid(0.0, args.b, args.n)
     spec = ReferenceSpec(k=args.k, order=FracOrder(args.alpha), xi=args.xi, grid=grid)
     out = _output_path(args.out) if args.out else None
+    _check_memory(grid.n, _ARRAYS_PER_REFERENCE, "a reference")
     y = ml_convolution_extremal(spec).values
     text = _csv_text(["t", "y"], (grid.nodes(), y))
     if out is not None:

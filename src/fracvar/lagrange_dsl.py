@@ -281,7 +281,10 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, offset = self.advance()
         if kind == "num":
-            return _const(float(text))
+            value = float(text)
+            if not math.isfinite(value):  # inf has no spelling that parses back
+                raise ExprSyntaxError(f"number {text!r} is beyond double range", offset)
+            return _const(value)
         if kind == "ident":
             nkind, ntext, _ = self.peek()
             if nkind == "op" and ntext == "(":

@@ -5,9 +5,9 @@ constraint), from the Lagrangian's exact second partials, by preconditioned
 conjugate gradients on Hessian-vector products: K x is two products with
 M = D_c + k L and two with M^T, four FFTs, and no n x n matrix is made.  The
 preconditioner is one real FFT pair: the Strang circulant of M's interior
-Toeplitz part, scaled by sqrt(w H_vv) on both sides.  When F is quadratic and
-G affine, K and its preconditioner are the same at every iterate and are
-built once per solve.  With a constraint, CG runs on the constraint's tangent
+Toeplitz part, built once per solve by the Discretization, scaled by
+sqrt(w H_vv) on both sides, a scaling rebuilt with K at every iterate unless
+F is quadratic and G affine.  With a constraint, CG runs on its tangent
 space, and the KKT step on (nodes, lambda) is a move along the constraint
 gradient that meets the linearized constraint plus a tangent solve, so the
 quadratic family F = v^2, G = v is one linear solve.  Where CG meets a
@@ -146,12 +146,10 @@ class _Hessian:
     on the interior nodes, two products with M and M^T, four FFTs.
 
     The preconditioner is S^-1 (C^H C)^-1 S^-1, one real FFT pair: C is the
-    Strang circulant of the interior Toeplitz part of M (the central
-    difference plus k L), of the least 5-smooth length >= n - 2, of which the
-    first n - 2 rows and columns act; the eigenvalues |c(theta)|^2 of C^H C
-    are floored at their third-least (at k = 0, c vanishes at theta = 0 and
-    pi).  S = sqrt|w H_vv| is floored at 1e-3 of its largest value, or is 1
-    where H_vv is 0 everywhere.  `scale` bounds |K|_inf, and with a
+    Strang circulant of M's interior Toeplitz part, read with M's norm bound
+    from `Discretization.circulant`, of which the first n - 2 rows and
+    columns act.  S = sqrt|w H_vv| is floored at 1e-3 of its largest value,
+    or is 1 where H_vv is 0 everywhere.  `scale` bounds |K|_inf, and with a
     constraint gradient a, u = a/|a| is the unit normal of the tangent space
     and ku = K u.  `convex` certifies K >= 0: the Lagrangian's 2 x 2 Hessian
     in (y, v) is positive semidefinite at every node, so x^T K x, the sum of
@@ -159,29 +157,17 @@ class _Hessian:
     nowhere negative."""
 
     def __init__(self, disc: Discretization, lagr, y: np.ndarray, v: np.ndarray, grad_i: np.ndarray | None):
-        t, w, h, k, weights = disc.t, disc.w, disc.p.grid.h, disc.p.k, disc.left.weights
         self.disc = disc
-        self.wvv, self.wyv, self.wyy = (w * d(t, y, v) for d in (lagr.dvv, lagr.dyv, lagr.dyy))
+        self.wvv, self.wyv, self.wyy = (disc.w * d(disc.t, y, v) for d in (lagr.dvv, lagr.dyv, lagr.dyy))
         self.convex = bool(
             np.all(self.wvv >= 0.0) and np.all(self.wyy >= 0.0) and np.all(self.wyv**2 <= self.wvv * self.wyy)
         )
-        # |D_c| <= 4/h and |k L| <= |k| sum|weights| bound M's row and column sums alike
-        m_norm = 4.0 / h + abs(k) * float(np.sum(np.abs(weights)))
+        m_norm, self.size, self.sym = disc.circulant
         self.scale = sum(
             c * float(np.max(np.abs(a))) for c, a in ((m_norm**2, self.wvv), (2.0 * m_norm, self.wyv), (1.0, self.wyy))
         )
         s = np.sqrt(np.abs(self.wvv[1:-1]))
         self.s = np.maximum(s, 1e-3 * s.max()) if s.max() > 0.0 else np.ones_like(s)
-        size = _fast_length(len(s))
-        lag = np.arange(size)  # the diagonal of M that each entry of C's first column copies
-        lag[lag > size // 2] -= size
-        col = np.where(lag >= 0, k * weights[np.abs(lag)], 0.0)
-        col[lag == 1] -= 0.5 / h
-        col[lag == -1] += 0.5 / h
-        sym = np.abs(np.fft.rfft(col)) ** 2
-        # the floor is 0 only where C is: at n = 3 and k = 0, where it preconditions nothing
-        self.sym = np.maximum(sym, np.sort(sym)[:3][-1] or 1.0)
-        self.size = size
         self.u = self.ku = self.a_norm = None
         if grad_i is not None:
             self.a_norm = float(np.linalg.norm(grad_i))
@@ -202,19 +188,6 @@ class _Hessian:
     def precondition(self, r: np.ndarray) -> np.ndarray:
         z = np.fft.irfft(np.fft.rfft(r / self.s, self.size) / self.sym, self.size)
         return z[: len(r)] / self.s
-
-
-def _fast_length(n: int) -> int:
-    """The least 2^a 3^b 5^c >= n: numpy's FFT is many times slower on a
-    length with a large prime factor, such as 15999."""
-    best, p5 = 1 << (n - 1).bit_length(), 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def _cg(apply, precondition, b: np.ndarray, target: float, cap: int) -> tuple[np.ndarray | None, int]:
@@ -325,7 +298,7 @@ def _newton(disc: Discretization, opts: SolverOptions) -> tuple[_Iterate, int, b
     iters = 0
     eta = 0.1
     while True:
-        if hess is None:
+        if hess is None or not constant:
             lagr = p.f if cur.lam is None else AugmentedLagrangian(p.f, p.g, cur.lam)
             hess = _Hessian(disc, lagr, cur.y, cur.v, cur.grad_i)
         if iters == opts.max_iters or (cur.gmax <= grad_target and abs(cur.constraint) <= constraint_target):
@@ -341,8 +314,6 @@ def _newton(disc: Discretization, opts: SolverOptions) -> tuple[_Iterate, int, b
         nxt = None if dx is None else _line_search(disc, cur, dx, dlam)
         if nxt is None:
             break
-        if not constant:
-            hess = None
         # Eisenstat and Walker's choice 2; a ratio past 1 gives 0.1 and is
         # not squared, so that nothing overflows
         eta = min(0.1, 0.9 * min(nxt.kkt_max / cur.kkt_max, 1.0) ** 2)
@@ -434,15 +405,15 @@ def _memory_available() -> float:
 _ARRAYS_PER_SOLVE = 48
 
 
-def _check_memory(n: int) -> None:
-    """Refuse a solve whose arrays would not fit before it makes them: the
-    kernel's out-of-memory kill would leave no exit code and no message.  The
-    solve's peak is about _ARRAYS_PER_SOLVE arrays of n doubles."""
-    need = 8.0 * _ARRAYS_PER_SOLVE * n
+def _check_memory(n: int, arrays: int, what: str) -> None:
+    """Refuse a command whose arrays would not fit before it makes them: the
+    kernel's out-of-memory kill would leave no exit code and no message.
+    `what`, say "a solve", peaks at about `arrays` arrays of n doubles."""
+    need = 8.0 * arrays * n
     avail = _memory_available()
     if need > avail:
         raise MemoryError(
-            f"a solve at n = {n} holds about {need / 2**20:.0f} MB of arrays of n doubles, "
+            f"{what} at n = {n} holds about {need / 2**20:.0f} MB of arrays of n doubles, "
             f"and {max(avail, 0.0) / 2**20:.0f} MB are available"
         )
 
@@ -450,7 +421,7 @@ def _check_memory(n: int) -> None:
 def _solve(p: Problem, opts: SolverOptions) -> Solution:
     # an overflow in a trial point is a rejected step, never a warning
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        _check_memory(p.grid.n)
+        _check_memory(p.grid.n, _ARRAYS_PER_SOLVE, "a solve")
         disc = Discretization(p)
         cur, iters, converged = _newton(disc, opts)
     return Solution(

@@ -125,6 +125,26 @@ class Discretization:
         s[1:] = (self.t[1:] - self.p.grid.a) ** (-alpha) / gamma(1.0 - alpha)
         return self.p.k * (s - np.cumsum(weights))
 
+    @cached_property
+    def circulant(self) -> tuple[float, int, np.ndarray]:
+        """(m_norm, size, sym) for the solver's preconditioner: m_norm bounds M's
+        row and column sums alike (|D_c| <= 4/h, |k L| <= |k| sum|weights|); sym
+        holds the eigenvalues |c(theta)|^2 of C^H C, C the Strang circulant of
+        M's interior Toeplitz part (the central difference plus k L) of the least
+        5-smooth length size >= n - 2, floored at their third-least (at k = 0, c
+        vanishes at theta = 0 and pi)."""
+        h, k, weights = self.p.grid.h, self.p.k, self.left.weights
+        m_norm = 4.0 / h + abs(k) * float(np.sum(np.abs(weights)))
+        size = _fast_length(self.p.grid.n - 2)
+        lag = np.arange(size)  # the diagonal of M that each entry of C's first column copies
+        lag[lag > size // 2] -= size
+        col = np.where(lag >= 0, k * weights[np.abs(lag)], 0.0)
+        col[lag == 1] -= 0.5 / h
+        col[lag == -1] += 0.5 / h
+        sym = np.abs(np.fft.rfft(col)) ** 2
+        # the floor is 0 only where C is: at n = 3 and k = 0, where it preconditions nothing
+        return m_norm, size, np.maximum(sym, np.sort(sym)[:3][-1] or 1.0)
+
     def v(self, y: np.ndarray) -> np.ndarray:
         """v = M y + y(a) c: y' + k D^alpha y with the boundary split."""
         v = self.m_matvec(y)
@@ -166,6 +186,19 @@ class Discretization:
             norm_max_interior=float(np.max(np.abs(interior))),
             norm_l2_interior=float(math.sqrt(self.p.grid.h * float(np.dot(interior, interior)))),
         )
+
+
+def _fast_length(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: numpy's FFT is many times slower on a
+    length with a large prime factor, such as 15999."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _check_grid(p: Problem, y: SampledFunction) -> None:

@@ -197,6 +197,15 @@ class TestSchemaErrors:
         assert code == EXIT_SCHEMA
         assert "offset" in err
 
+    def test_literal_beyond_double_range(self, tmp_path, capsys):
+        # 1e999 would be an infinite coefficient, and the solve an exit 4
+        path = write_problem(tmp_path, F="1e999*v^2")
+        code, out, err = run(capsys, "solve", path)
+        assert code == EXIT_SCHEMA
+        assert out == "" and err.startswith('error: key "F": ') and err.count("\n") == 1
+        assert "at offset 0" in err
+        assert not (tmp_path / "problem.out.csv").exists()
+
     def test_constraint_syntax_error(self, tmp_path, capsys):
         path = write_problem(tmp_path, G="y^^2", xi=1.0)
         code, out, err = run(capsys, "solve", path)
@@ -331,19 +340,37 @@ class TestDomainErrors:
 
     def test_solve_refused_up_front(self, tmp_path, capsys, monkeypatch):
         # stands in for a machine without room for a solve's arrays of n
-        # values: the solve is refused before it makes them; a reference and
-        # a residual are not checked
+        # values: the solve is refused before it makes them
         monkeypatch.setattr(fracvar.solver, "_memory_available", lambda: 1e3)
         path = write_problem(tmp_path, G="v", xi=1.0, yb="auto-reference")
         code, out, err = run(capsys, "solve", path)
         assert code == EXIT_DOMAIN
         assert out == "" and err.startswith("error: out of memory: a solve at n = 101 holds") and err.count("\n") == 1
         assert not (tmp_path / "problem.out.csv").exists()
-        ref_csv = tmp_path / "ref.csv"
-        code, _, _ = run(capsys, "reference", "--k", 1, "--alpha", 0.5, "--xi", 1, "--n", 101, "--out", ref_csv)
-        assert code == EXIT_OK
-        code, out, _ = run(capsys, "residual", path, "--y", ref_csv, "--lambda", 2)
-        assert code == EXIT_OK and "norm_max_interior" in json.loads(out)
+
+    @pytest.mark.parametrize(
+        "command, what, mb",
+        [("reference", "a reference", 24), ("residual", "a residual check", 18)],
+    )
+    def test_reference_and_residual_refused_up_front(self, tmp_path, capsys, monkeypatch, command, what, mb):
+        # room for 1 MB: refused before the extremal is evaluated or the
+        # trajectory CSV is read, and no CSV is written
+        n = 100_001
+        monkeypatch.setattr(fracvar.solver, "_memory_available", lambda: 2.0**20)
+        monkeypatch.setattr(fracvar.cli, "ml_convolution_extremal", lambda *args: pytest.fail("the extremal was made"))
+        monkeypatch.setattr(fracvar.cli, "_read_trajectory_csv", lambda *args: pytest.fail("the CSV was read"))
+        out_csv = tmp_path / "out.csv"
+        if command == "reference":
+            argv = ["reference", "--k", 1, "--alpha", 0.5, "--xi", 1, "--n", n, "--out", out_csv]
+        else:
+            path = write_problem(tmp_path, G="v", xi=1.0, yb="auto-reference", n=n)
+            argv = ["residual", path, "--y", out_csv, "--lambda", 2]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: out of memory: {what} at n = {n} holds about {mb} MB of arrays of n doubles")
+        assert "and 1 MB are available" in err
+        assert not out_csv.exists()
 
     def test_auto_reference_overflows(self, tmp_path, capsys):
         # y(b) of the reference extremal is beyond double precision: the

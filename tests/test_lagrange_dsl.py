@@ -140,6 +140,18 @@ class TestParse:
     def test_scientific_notation(self):
         assert parse("1.5e-3") == Const(0.0015)
 
+    @pytest.mark.parametrize(
+        "src, offset", [("1e999", 0), ("v + 2e400", 4), pytest.param("1" + "0" * 400, 0, id="401-digit integer")]
+    )
+    def test_literal_beyond_double_range(self, src, offset):
+        # float() reads it as inf, whose to_str does not parse back
+        with pytest.raises(ExprSyntaxError, match="beyond double range") as exc:
+            parse(src)
+        assert exc.value.offset == offset
+
+    def test_literal_below_double_range_is_zero(self):
+        assert parse("1e-999") == Const(0.0)
+
     def test_syntax_error_offset(self):
         with pytest.raises(ExprSyntaxError) as exc:
             parse("v^^2")

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -901,6 +902,26 @@ class TestHessianBuilds:
         sol = solve_isoperimetric(p)
         assert sol.converged and sol.iterations >= 1
         assert len(builds) == 1
+
+    def test_circulant_is_built_once_per_solve(self, monkeypatch):
+        # K is rebuilt at every Newton step of v^4+y^2; the Strang circulant
+        # and M's norm bound depend on the grid alone and are built once
+        circulants = []
+        build = Discretization.__dict__["circulant"].func
+
+        def counted(disc):
+            circulants.append(disc)
+            return build(disc)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(Discretization, "circulant")
+        monkeypatch.setattr(Discretization, "circulant", prop)
+        hessians = self.count_builds(monkeypatch)
+        p = Problem(Lagrangian.parse("v^4+y^2"), 0.7, FracOrder(0.3), Grid(0.0, 1.0, 201), 0.0, 1.0)
+        sol = solve_unconstrained(p)
+        assert sol.converged and sol.iterations >= 3
+        assert len(hessians) == sol.iterations + 1
+        assert len(circulants) == 1
 
     @pytest.mark.parametrize(
         "f, g",

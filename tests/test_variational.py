@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -30,6 +31,7 @@ from fracvar.variational import (
     combined_derivative,
     constraint_value,
     discrete_gradient,
+    _fast_length,
     discrete_operators,
     el_residual,
     functional_value,
@@ -396,3 +398,34 @@ class TestDiscreteGradient:
         cos = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
         assert cos >= 0.99
         assert np.linalg.norm(a - b) / np.linalg.norm(a) <= 0.1
+
+
+class TestCirculant:
+    @pytest.mark.parametrize("n", [3, 4, 5, 17, 101, 1001])
+    @pytest.mark.parametrize("k", [0.0, 0.7, -1.0])
+    def test_is_the_strang_circulant_of_the_interior_block(self, n, k):
+        # C's first column copies the diagonals of the dense M's interior
+        # block: lag j up to size / 2, lag j - size past it
+        disc = Discretization(make_problem(k=k, alpha=0.3, n=n))
+        m_norm, size, sym = disc.circulant
+        assert size == _fast_length(n - 2)
+        m = dense_m(disc)
+        block = m[1:-1, 1:-1]
+        lag = [j if j <= size // 2 else j - size for j in range(size)]
+        col = np.array([block[j, 0] if j >= 0 else block[0, -j] for j in lag])
+        raw = np.abs(np.fft.fft(col)[: size // 2 + 1]) ** 2
+        floor = np.sort(raw)[: 3][-1] or 1.0
+        np.testing.assert_allclose(sym, np.maximum(raw, floor), rtol=1e-12)
+        # m_norm bounds M's row and column sums alike, and not loosely
+        norm = max(np.max(np.sum(np.abs(m), axis=0)), np.max(np.sum(np.abs(m), axis=1)))
+        assert norm <= m_norm <= 2.0 * norm
+
+    def test_fast_length_is_the_least_5_smooth_length(self):
+        def smooth(x):
+            for p in (2, 3, 5):
+                while x % p == 0:
+                    x //= p
+            return x == 1
+
+        for m in itertools.chain(range(1, 2000), [15999, 99999, 199999]):
+            assert _fast_length(m) == next(x for x in itertools.count(m) if smooth(x))
