@@ -5,20 +5,24 @@ documents (see README for the schema); expression strings inside them use the
 lagrange_dsl grammar.  All numeric output uses '.' decimal separators and 17
 significant digits so runs are byte-reproducible.
 
-Exit codes: 0 success/converged, 2 parse/schema/precondition error,
-3 solver non-convergence, no minimizer, or an abnormal (multiplier-free)
-constraint, 4 numeric domain error, or out of memory: every command holds a
-few dozen arrays of n values at most, and is refused before it makes them
-where they would not fit.
+Exit codes: 0 success/converged, 2 parse/schema/precondition error, or a
+stdout its reader has closed, 3 solver non-convergence, no minimizer, or an
+abnormal (multiplier-free) constraint, 4 numeric domain error, or out of
+memory: every command holds its arrays of n values, about 40 at most, and
+writes or reads CSV text a block of rows at a time, or a row; it is refused
+before it makes the arrays where they would not fit.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -32,6 +36,7 @@ from .solver import (
     AbnormalConstraintError,
     NoMinimizerError,
     SolverOptions,
+    _ARRAYS_PER_SOLVE,
     _check_memory,
     _finite,
     solve_isoperimetric,
@@ -44,10 +49,10 @@ EXIT_SCHEMA = 2
 EXIT_NOCONV = 3
 EXIT_DOMAIN = 4
 
-#: The tracemalloc peaks of a reference and a residual check, in arrays of n
-#: doubles, with room to spare: about 23 (most of it the CSV text) and 16 at
-#: n = 100001
-_ARRAYS_PER_REFERENCE = 32
+#: The tracemalloc peaks of a whole reference and a whole residual check, in
+#: arrays of n doubles, with room to spare: 6.3-6.6 and 16.3 at n = 100001,
+#: the residual's on either of the trajectory reader's paths
+_ARRAYS_PER_REFERENCE = 10
 _ARRAYS_PER_RESIDUAL = 24
 
 _PROBLEM_KEYS = {"schema", "F", "G", "xi", "a", "b", "alpha", "k", "n", "ya", "yb", "solver"}
@@ -136,12 +141,6 @@ def _build_problem(doc: dict) -> Problem:
     )
 
 
-def _csv_text(header: list[str], columns) -> str:
-    row = ",".join(["%.17g"] * len(header))  # on Python floats, the bytes of f"{x:.17g}"
-    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
-    return "\n".join([",".join(header)] + [row % values for values in rows]) + "\n"
-
-
 def _output_path(path: str | Path) -> Path:
     """Check the output's directory before any work is done, but create no
     file that a failed run would leave."""
@@ -150,11 +149,18 @@ def _output_path(path: str | Path) -> Path:
     return out
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_csv(out: Path | None, header: list[str], columns) -> None:
+    """Write the columns' CSV to the file out, or to stdout, holding the text of 4096 rows at once."""
+    row = ",".join(["%.17g"] * len(header))  # on Python floats, the bytes of f"{x:.17g}"
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(out, "w", encoding="utf-8", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
+            fh.write(",".join(header) + "\n")
+            for start in range(0, len(columns[0]), 4096):
+                rows = zip(*(col[start : start + 4096].tolist() for col in columns))
+                fh.write("\n".join([row % values for values in rows]) + "\n")
     except OSError as exc:
+        if out is None:
+            raise  # main() names stdout
         raise SchemaError(f"cannot write output file: {exc}") from exc
 
 
@@ -173,7 +179,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "converged": sol.converged,
     }
     columns = (p.grid.nodes(), sol.y.values, sol.v.values, sol.residual.values.values)
-    _write_text(out, _csv_text(["t", "y", "v", "el_residual"], columns))
+    _write_csv(out, ["t", "y", "v", "el_residual"], columns)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK if sol.converged else EXIT_NOCONV
 
@@ -190,13 +196,14 @@ def _read_trajectory_csv(path: str, grid: Grid) -> SampledFunction:
                     warnings.simplefilter("error")  # a file of no rows is read below
                     t, y = np.loadtxt(fh, delimiter=",", usecols=(0, 1), comments=None, quotechar='"', ndmin=2).T
             except (ValueError, UserWarning):
-                # any other file row by row, to name what is wrong with it
+                # any other file row by row, to name what is wrong with it: one pass for widths, one for t, y
                 fh.seek(0)
-                rows = [row for row in csv.reader(fh) if row][1:]
-                _require(len(rows) == grid.n, f"CSV has {len(rows)} rows but the grid has {grid.n} nodes")
-                _require(all(len(row) >= 2 for row in rows), "every CSV row must have a t and a y value")
-                t = np.array([float(row[0]) for row in rows])
-                y = np.array([float(row[1]) for row in rows])
+                widths = [len(row) for row in csv.reader(fh) if row][1:]
+                _require(len(widths) == grid.n, f"CSV has {len(widths)} rows but the grid has {grid.n} nodes")
+                _require(all(width >= 2 for width in widths), "every CSV row must have a t and a y value")
+                fh.seek(0)
+                rows = itertools.islice(filter(None, csv.reader(fh)), 1, None)
+                t, y = np.fromiter(((float(r[0]), float(r[1])) for r in rows), dtype=(float, 2), count=grid.n).T
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read trajectory CSV: {exc}") from exc
     _require(len(t) == grid.n, f"CSV has {len(t)} rows but the grid has {grid.n} nodes")
@@ -231,11 +238,7 @@ def cmd_reference(args: argparse.Namespace) -> int:
     out = _output_path(args.out) if args.out else None
     _check_memory(grid.n, _ARRAYS_PER_REFERENCE, "a reference")
     y = ml_convolution_extremal(spec).values
-    text = _csv_text(["t", "y"], (grid.nodes(), y))
-    if out is not None:
-        _write_text(out, text)
-    else:
-        sys.stdout.write(text)
+    _write_csv(out, ["t", "y"], (grid.nodes(), y))
     # the last node is b itself, so y[-1] is boundary_value(spec)
     print(json.dumps({"boundary_value": float(y[-1])}, sort_keys=True))
     return EXIT_OK
@@ -247,15 +250,17 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     _require(len(set(sizes)) == len(sizes), "grid sizes must be distinct")
     doc = _load_problem_file(args.file)
     opts = SolverOptions(**doc.get("solver", {}))
+    problems = [_build_problem(dict(doc, n=n)) for n in sizes]
+    _check_memory(sizes[-1], _ARRAYS_PER_SOLVE + len(sizes), "a convergence study")
 
-    solutions = {}
-    for n in sizes:
-        p = _build_problem(dict(doc, n=n))
+    ys = []
+    for p in problems:
         sol = solve_isoperimetric(p, opts) if p.constrained else solve_unconstrained(p, opts)
         if not sol.converged:
-            print(f"error: the solve at n={n} did not converge", file=sys.stderr)
+            print(f"error: the solve at n={p.grid.n} did not converge", file=sys.stderr)
             return EXIT_NOCONV
-        solutions[n] = (p, sol)
+        ys.append(sol.y.values)
+        del sol  # so the next solve does not hold this one's arrays
 
     # the reference extremal solves F = v^2, G = v from y(0) = 0 to its own
     # y(b); otherwise compare against the finest-grid solution
@@ -263,15 +268,13 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         doc["ya"] == 0.0 and doc["yb"] == "auto-reference" and p.f.f == parse("v^2") and p.g.f == parse("v")
     )
 
-    finest_p, finest_sol = solutions[sizes[-1]]
     entries = []
-    for n in sizes:
-        p, sol = solutions[n]
+    for p, y in zip(problems, ys):
         if has_reference:
             ref = ml_convolution_extremal(ReferenceSpec(k=p.k, order=p.order, xi=p.xi, grid=p.grid)).values
         else:
-            ref = np.interp(p.grid.nodes(), finest_p.grid.nodes(), finest_sol.y.values)
-        entries.append({"n": n, "error": float(np.max(np.abs(sol.y.values - ref)))})
+            ref = np.interp(p.grid.nodes(), problems[-1].grid.nodes(), ys[-1])
+        entries.append({"n": p.grid.n, "error": float(np.max(np.abs(y - ref)))})
 
     orders = []
     for i in range(len(entries) - 1):
@@ -330,7 +333,15 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --seed is not accepted; nothing in this tool is stochastic", file=sys.stderr)
         return EXIT_SCHEMA
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has closed stdout is met here, not at exit
+        return code
+    except OSError as exc:
+        # commands name the files they fail to read or write, so what is left
+        # is stdout; the bytes still buffered for it go nowhere at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

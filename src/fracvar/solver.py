@@ -25,8 +25,8 @@ values, steps backtrack on J (Armijo) or, with a constraint, on the KKT
 residual, until the residuals reach min(tol, 1e-12) or a full step changes J
 only by roundoff and does not halve them.  The steps and the final iterate's
 Euler-Lagrange residual use one Discretization, so a solve assembles the GL
-operator once.  A solve holds a few dozen arrays of n doubles; it is refused
-up front, with a MemoryError, where they would not fit.
+operator once.  A solve holds at most about 36 arrays of n doubles; it is
+refused up front, with a MemoryError, where 40 would not fit.
 """
 
 from __future__ import annotations
@@ -336,7 +336,7 @@ def _newton(disc: Discretization, opts: SolverOptions) -> tuple[_Iterate, int, b
 def _proc_kib(path: str, key: str, default: float) -> float:
     """The value of a `key:` line of a /proc file, in KiB, or default where there is none."""
     try:
-        with open(path, encoding="ascii") as fh:
+        with open(path, encoding="utf-8") as fh:
             for line in fh:
                 if line.startswith(key + ":"):
                     return float(line.split()[1])
@@ -351,13 +351,13 @@ def _cgroup_room(directory: str, limit_name: str, usage_name: str, inactive_key:
     reached.  inf where a file or the `memory.stat` key is missing or
     unreadable, or the limit reads "max" or at least 2^62."""
     try:
-        with open(os.path.join(directory, limit_name), encoding="ascii") as fh:
+        with open(os.path.join(directory, limit_name), encoding="utf-8") as fh:
             limit = float(fh.read())
         if limit >= 2.0**62:
             return math.inf
-        with open(os.path.join(directory, usage_name), encoding="ascii") as fh:
+        with open(os.path.join(directory, usage_name), encoding="utf-8") as fh:
             usage = float(fh.read())
-        with open(os.path.join(directory, "memory.stat"), encoding="ascii") as fh:
+        with open(os.path.join(directory, "memory.stat"), encoding="utf-8") as fh:
             inactive = float(dict(line.split() for line in fh)[inactive_key])
     except (OSError, ValueError, KeyError):
         return math.inf
@@ -369,7 +369,7 @@ def _cgroup_available(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgro
     hierarchy (its `0::` line) or a v1 one (its `memory` line), the least
     of the two; inf where neither sets a limit."""
     try:
-        with open(proc, encoding="ascii") as fh:
+        with open(proc, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, ValueError):
         return math.inf
@@ -401,8 +401,9 @@ def _memory_available() -> float:
     return avail
 
 
-#: A solve's tracemalloc peak, in arrays of n doubles, with room to spare
-_ARRAYS_PER_SOLVE = 48
+#: A whole `fracvar solve`'s tracemalloc peak, in arrays of n doubles, with
+#: room to spare: 31.8-35.8 at n = 100001, its CSV written included
+_ARRAYS_PER_SOLVE = 40
 
 
 def _check_memory(n: int, arrays: int, what: str) -> None:

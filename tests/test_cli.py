@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -10,6 +13,7 @@ import fracvar.cli
 import fracvar.solver
 import fracvar.variational
 from fracvar.cli import EXIT_DOMAIN, EXIT_NOCONV, EXIT_OK, EXIT_SCHEMA, main
+from fracvar.solver import solve_unconstrained
 
 
 def write_problem(tmp_path, name="problem.json", **overrides):
@@ -350,7 +354,7 @@ class TestDomainErrors:
 
     @pytest.mark.parametrize(
         "command, what, mb",
-        [("reference", "a reference", 24), ("residual", "a residual check", 18)],
+        [("reference", "a reference", 8), ("residual", "a residual check", 18)],
     )
     def test_reference_and_residual_refused_up_front(self, tmp_path, capsys, monkeypatch, command, what, mb):
         # room for 1 MB: refused before the extremal is evaluated or the
@@ -371,6 +375,20 @@ class TestDomainErrors:
         assert err.startswith(f"error: out of memory: {what} at n = {n} holds about {mb} MB of arrays of n doubles")
         assert "and 1 MB are available" in err
         assert not out_csv.exists()
+
+    def test_convergence_refused_up_front(self, tmp_path, capsys, monkeypatch):
+        # room for the largest solve, but not for it and one y for each grid:
+        # the study is refused before its first solve
+        sizes = (90_001, 95_001, 100_001)
+        room = (fracvar.solver._ARRAYS_PER_SOLVE + 1) * 8.0 * sizes[-1]
+        monkeypatch.setattr(fracvar.solver, "_memory_available", lambda: room)
+        for solve in ("solve_unconstrained", "solve_isoperimetric"):
+            monkeypatch.setattr(fracvar.cli, solve, lambda *args: pytest.fail("a solve ran"))
+        path = write_problem(tmp_path, G="v", xi=1.0, yb="auto-reference")
+        code, out, err = run(capsys, "convergence", path, "--grids", *sizes)
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: out of memory: a convergence study at n = 100001 holds about 33 MB of arrays")
 
     def test_auto_reference_overflows(self, tmp_path, capsys):
         # y(b) of the reference extremal is beyond double precision: the
@@ -739,3 +757,123 @@ class TestConvergence:
         report = json.loads(out.strip())
         assert report["entries"][-1]["error"] == 0.0
         assert all(order > 0.5 for order in report["orders"][:-1])
+
+
+class TestMemoryPeaks:
+    """Each whole command's tracemalloc peak at n = 100001 lies within the
+    budget its memory check assumes: the CSV text is written a block of rows
+    at a time and read a row at a time, so the peak is the command's arrays."""
+
+    N = 100_001
+
+    @staticmethod
+    def peak(tmp_path, *argv):
+        """The command's exit code and tracemalloc peak in arrays of N doubles;
+        its stdout goes to the file stdout.txt."""
+        with open(tmp_path / "stdout.txt", "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+            tracemalloc.start()
+            try:
+                code = main([str(a) for a in argv])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return code, peak / (8 * TestMemoryPeaks.N)
+
+    @pytest.fixture(scope="class")
+    def criterion_four(self, tmp_path_factory):
+        """The criterion-4 problem solved at N nodes: its file, its CSV and the solve's peak."""
+        tmp = tmp_path_factory.mktemp("criterion4")
+        path = write_problem(tmp, G="v", xi=1.0, yb="auto-reference", n=self.N)
+        code, peak = self.peak(tmp, "solve", path, "--out", tmp / "sol.csv")
+        assert code == EXIT_OK
+        return path, tmp / "sol.csv", peak
+
+    def test_solve(self, criterion_four):
+        assert criterion_four[2] <= fracvar.solver._ARRAYS_PER_SOLVE
+
+    @pytest.mark.parametrize("k, to_stdout", [(1, False), (-1, True)])
+    def test_reference(self, tmp_path, k, to_stdout):
+        out = () if to_stdout else ("--out", tmp_path / "ref.csv")
+        code, peak = self.peak(tmp_path, "reference", "--alpha", 0.9, f"--k={k}", "--xi", 1, "--n", self.N, *out)
+        assert code == EXIT_OK
+        assert peak <= fracvar.cli._ARRAYS_PER_REFERENCE
+
+    def test_residual(self, tmp_path, criterion_four):
+        # the fallback reader on the same trajectory, its first y written 0_0,
+        # which np.loadtxt refuses and Python's float reads
+        path, sol_csv, _ = criterion_four
+        lines = sol_csv.read_text(encoding="utf-8").split("\n")
+        row = lines[1].split(",")
+        assert row[1] == "0"
+        lines[1] = ",".join([row[0], "0_0", *row[2:]])
+        odd_csv = tmp_path / "odd.csv"
+        odd_csv.write_text("\n".join(lines), encoding="utf-8")
+        reports = []
+        for traj in (sol_csv, odd_csv):
+            code, peak = self.peak(tmp_path, "residual", path, "--y", traj, "--lambda", 2)
+            assert code == EXIT_OK
+            assert peak <= fracvar.cli._ARRAYS_PER_RESIDUAL
+            reports.append((tmp_path / "stdout.txt").read_text(encoding="utf-8"))
+        assert reports[0] == reports[1]
+
+    def test_convergence(self, tmp_path):
+        # the largest solve, and one y for each grid
+        sizes = (90_001, 95_001, self.N)
+        path = write_problem(tmp_path, G="v", xi=1.0, yb="auto-reference")
+        code, peak = self.peak(tmp_path, "convergence", path, "--grids", *sizes)
+        assert code == EXIT_OK
+        assert peak <= fracvar.solver._ARRAYS_PER_SOLVE + sum(sizes) / self.N
+
+
+class TestCsvBlocks:
+    def test_reference_stdout_is_its_file(self, tmp_path, capsys):
+        # 8193 rows: two whole blocks of 4096 rows and one row more
+        argv = ("reference", "--alpha", 0.5, "--k", 1, "--xi", 1, "--n", 8193)
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        code, summary, _ = run(capsys, *argv, "--out", tmp_path / "ref.csv")
+        assert code == EXIT_OK
+        text = (tmp_path / "ref.csv").read_bytes().decode("utf-8")
+        assert out == text + summary
+        # no row is lost or repeated where one block meets the next
+        assert [float(line.split(",")[0]) for line in text.splitlines()[1:]] == [i / 8192 for i in range(8193)]
+
+    def test_solve_csv_is_its_columns(self, tmp_path, capsys):
+        # 4097 rows: one whole block and one row more, each value "%.17g" of its double
+        path = write_problem(tmp_path, F="v^2+y^2", n=4097)
+        code, _, _ = run(capsys, "solve", path, "--out", tmp_path / "sol.csv")
+        assert code == EXIT_OK
+        p = fracvar.cli._build_problem(fracvar.cli._load_problem_file(str(path)))
+        sol = solve_unconstrained(p)
+        columns = (p.grid.nodes(), sol.y.values, sol.v.values, sol.residual.values.values)
+        rows = zip(*(col.tolist() for col in columns))
+        want = "t,y,v,el_residual\n" + "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+        assert (tmp_path / "sol.csv").read_bytes().decode("utf-8") == want
+
+
+class TestClosedStdout:
+    """A reader that closes stdout ends the command with exit 2 and one line on
+    stderr, whether it closes amid the CSV rows or before the JSON line."""
+
+    @staticmethod
+    def start(*argv):
+        argv = [sys.executable, "-m", "fracvar.cli", *map(str, argv)]
+        return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    @staticmethod
+    def finish(proc):
+        err = proc.stderr.read().decode("utf-8")
+        assert proc.wait(timeout=120) == EXIT_SCHEMA
+        assert err == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+    def test_closed_after_the_first_line(self):
+        proc = self.start("reference", "--alpha", 0.5, "--k", 1, "--xi", 1, "--n", 100_001)
+        assert proc.stdout.readline() == b"t,y\n"
+        proc.stdout.close()
+        self.finish(proc)
+
+    def test_closed_before_the_json_line(self, tmp_path):
+        proc = self.start("solve", write_problem(tmp_path, n=51), "--out", tmp_path / "sol.csv")
+        proc.stdout.close()
+        self.finish(proc)
+        assert (tmp_path / "sol.csv").exists()

@@ -4,6 +4,8 @@ import functools
 import io
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -749,7 +751,7 @@ class TestMemoryCheck:
             fracvar.variational, "assemble_frac_operator", lambda *args: pytest.fail("the operator was assembled")
         )
         monkeypatch.setattr(fracvar.solver, "_newton", lambda *args: pytest.fail("the Newton loop started"))
-        with pytest.raises(MemoryError, match=f"a solve at n = {self.N} holds about 37 MB of arrays of n doubles"):
+        with pytest.raises(MemoryError, match=f"a solve at n = {self.N} holds about 31 MB of arrays of n doubles"):
             solve_unconstrained(self.PROBLEM)
 
     def test_room_for_the_solve(self, monkeypatch):
@@ -766,6 +768,18 @@ class TestMemoryCheck:
     def test_probe_reads_the_cgroup_limit(self, monkeypatch):
         monkeypatch.setattr(fracvar.solver, "_cgroup_available", lambda: 2.0**20)
         assert fracvar.solver._memory_available() == 2.0**20
+
+    def test_probe_imports_no_codec(self):
+        # the probe reads its files as UTF-8, whose codec every process has
+        # loaded: its first call imports none
+        code = (
+            "import sys, fracvar.solver; before = 'encodings.ascii' in sys.modules; "
+            "fracvar.solver._memory_available(); print(before, 'encodings.ascii' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+        if out.split()[0] == "True":
+            pytest.skip("this interpreter loads encodings.ascii at start-up")
+        assert out.split() == ["False", "False"]
 
 
 def cgroup_tree(tmp_path, membership, files):
