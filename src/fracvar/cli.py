@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .fracgrid import FracOrder, Grid, GridMismatchError, SampledFunction
-from .lagrange_dsl import ExprSyntaxError, Lagrangian, parse
+from .lagrange_dsl import ExprSyntaxError, Lagrangian, Var, _variables
 from .reference import ReferenceSpec, boundary_value, ml_convolution_extremal
 from .solver import (
     AbnormalConstraintError,
@@ -111,18 +111,15 @@ def _load_problem_file(path: str, n_override: int | None = None) -> dict:
     return doc
 
 
-def _build_problem(doc: dict) -> Problem:
+def _parse_key(doc: dict, key: str) -> Lagrangian | None:
     try:
-        f = Lagrangian.parse(doc["F"])
+        return Lagrangian.parse(doc[key]) if key in doc else None
     except ExprSyntaxError as exc:
-        raise SchemaError(f'key "F": {exc}') from exc
-    g = None
-    if "G" in doc:
-        try:
-            g = Lagrangian.parse(doc["G"])
-        except ExprSyntaxError as exc:
-            raise SchemaError(f'key "G": {exc}') from exc
+        raise SchemaError(f'key "{key}": {exc}') from exc
 
+
+def _build_problem(doc: dict) -> Problem:
+    f, g = _parse_key(doc, "F"), _parse_key(doc, "G")
     grid = Grid(float(doc["a"]), float(doc["b"]), int(doc["n"]))
     order = FracOrder(float(doc["alpha"]))
     yb = doc["yb"]
@@ -262,10 +259,11 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         ys.append(sol.y.values)
         del sol  # so the next solve does not hold this one's arrays
 
-    # the reference extremal solves F = v^2, G = v from y(0) = 0 to its own
-    # y(b); otherwise compare against the finest-grid solution
+    # from y(0) = 0 to the reference's own y(b), v = xi / b is the extremal of
+    # every F(v) with G = v: F'(v) = lambda + mu e(b - t) holds with mu = 0 and
+    # lambda = F'(xi / b); otherwise compare against the finest-grid solution
     has_reference = (
-        doc["ya"] == 0.0 and doc["yb"] == "auto-reference" and p.f.f == parse("v^2") and p.g.f == parse("v")
+        doc["ya"] == 0.0 and doc["yb"] == "auto-reference" and p.g.f == Var("v") and _variables(p.f.f) <= {"v"}
     )
 
     entries = []

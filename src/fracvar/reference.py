@@ -1,7 +1,8 @@
-"""Semi-analytic reference extremals for the quadratic isoperimetric family.
+"""Semi-analytic reference extremals of every F(v) with G = v.
 
 On [0, b] the constraint integral_0^b v dt = xi holds with v = xi / b
-everywhere, and the extremal is the convolution
+everywhere, F'(v) = lambda holds with lambda = F'(xi / b), and the extremal
+is the convolution
 
     y(t) = (xi / b) * integral_0^t E_{1-alpha,1}(-k * s^(1-alpha)) ds.
 
@@ -35,7 +36,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReferenceSpec:
-    """Data of the quadratic isoperimetric family, anchored at a = 0."""
+    """Data of the isoperimetric family F(v), G = v, anchored at a = 0."""
 
     k: float
     order: FracOrder

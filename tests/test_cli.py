@@ -713,6 +713,25 @@ class TestConvergence:
         assert code == EXIT_OK
         assert json.loads(out.strip())["entries"][-1]["error"] > 0.0
 
+    @pytest.mark.parametrize("f", ["v^4", "exp(v)", "sqrt(1+v^2)"])
+    def test_reference_for_every_f_of_v(self, tmp_path, capsys, f):
+        # v = xi / b is the extremal of every F(v) with G = v, so these solves
+        # are measured against the reference, not the finest grid
+        path = write_problem(tmp_path, F=f, G="v", xi=1.0, yb="auto-reference")
+        code, out, _ = run(capsys, "convergence", path, "--grids", 251, 501, 1001, 2001)
+        assert code == EXIT_OK
+        report = json.loads(out.strip())
+        assert report["entries"][-1]["error"] > 0.0
+        assert all(order >= 0.9 for order in report["orders"]), report
+
+    @pytest.mark.parametrize("f", ["t*v^2", "v^2+y^2"])
+    def test_no_reference_where_f_reads_t_or_y(self, tmp_path, capsys, f):
+        # with t or y in F, v = xi / b is no extremal: the finest grid is the reference
+        path = write_problem(tmp_path, F=f, G="v", xi=1.0, yb="auto-reference")
+        code, out, _ = run(capsys, "convergence", path, "--grids", 101, 201, 401)
+        assert code == EXIT_OK
+        assert json.loads(out.strip())["entries"][-1]["error"] == 0.0
+
     def test_self_convergence(self, tmp_path, capsys):
         path = write_problem(tmp_path, F="v^2 + y^2", k=0.5, alpha=0.3)
         code, out, _ = run(capsys, "convergence", path, "--grids", 51, 101, 201)

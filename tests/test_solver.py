@@ -276,6 +276,25 @@ class TestIsoperimetric:
         for lam in lams:
             assert lam == pytest.approx(2.0, abs=5e-2)
 
+    @pytest.mark.parametrize(
+        "source, lam_exact", [("v^4", 4.0), ("exp(v)", math.e), ("sqrt(1+v^2)", 1.0 / math.sqrt(2.0))]
+    )
+    def test_reference_for_every_f_of_v(self, source, lam_exact):
+        # v = xi / b meets the constraint and F'(v) = lambda for every F(v),
+        # so the reference is the extremal, and lambda = F'(xi / b)
+        y_errs, lam_errs = [], []
+        for n in (251, 501, 1001, 2001):
+            grid = Grid(0.0, 1.0, n)
+            spec = ReferenceSpec(k=1.0, order=FracOrder(0.5), xi=1.0, grid=grid)
+            p = quadratic_problem(0.5, 1.0, n, boundary_value(spec), xi=1.0)
+            sol = solve_isoperimetric(dataclasses.replace(p, f=Lagrangian.parse(source)))
+            assert sol.converged
+            y_errs.append(float(np.max(np.abs(sol.y.values - ml_convolution_extremal(spec).values))))
+            lam_errs.append(abs(sol.lam - lam_exact))
+        for errs in (y_errs, lam_errs):
+            assert all(math.log2(e0 / e1) >= 0.9 for e0, e1 in zip(errs, errs[1:])), errs
+        assert lam_errs[-1] <= 5e-3 * lam_exact
+
     @pytest.mark.parametrize("b", [0.5, 2.0])
     def test_reference_off_the_unit_interval(self, b):
         # on [0, b] the extremal has v = xi / b, so lambda = 2 xi / b
