@@ -9,8 +9,9 @@ Exit codes: 0 success/converged, 2 parse/schema/precondition error, or a
 stdout its reader has closed, 3 solver non-convergence, no minimizer, or an
 abnormal (multiplier-free) constraint, 4 numeric domain error, or out of
 memory: every command holds its arrays of n values, about 40 at most, and
-writes or reads CSV text a block of rows at a time, or a row; it is refused
-before it makes the arrays where they would not fit.
+writes CSV text a block of rows at a time; a trajectory CSV is read by one
+np.loadtxt call that stops after n + 1 rows.  A command is refused before it
+makes the arrays where they would not fit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -51,7 +51,7 @@ EXIT_DOMAIN = 4
 
 #: The tracemalloc peaks of a whole reference and a whole residual check, in
 #: arrays of n doubles, with room to spare: 6.3-6.6 and 16.3 at n = 100001,
-#: the residual's on either of the trajectory reader's paths
+#: the residual's with its one reading of at most n + 1 rows
 _ARRAYS_PER_REFERENCE = 10
 _ARRAYS_PER_RESIDUAL = 24
 
@@ -187,23 +187,20 @@ def _read_trajectory_csv(path: str, grid: Grid) -> SampledFunction:
             header = next(csv.reader(fh), None)
             _require(header is not None, "trajectory CSV is empty")
             _require(len(header) >= 2 and header[0] == "t" and header[1] == "y", "CSV must have columns t,y")
-            try:
-                # numpy parses the t and y columns of a well-formed file at once
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")  # a file of no rows is read below
-                    t, y = np.loadtxt(fh, delimiter=",", usecols=(0, 1), comments=None, quotechar='"', ndmin=2).T
-            except (ValueError, UserWarning):
-                # any other file row by row, to name what is wrong with it: one pass for widths, one for t, y
-                fh.seek(0)
-                widths = [len(row) for row in csv.reader(fh) if row][1:]
-                _require(len(widths) == grid.n, f"CSV has {len(widths)} rows but the grid has {grid.n} nodes")
-                _require(all(width >= 2 for width in widths), "every CSV row must have a t and a y value")
-                fh.seek(0)
-                rows = itertools.islice(filter(None, csv.reader(fh)), 1, None)
-                t, y = np.fromiter(((float(r[0]), float(r[1])) for r in rows), dtype=(float, 2), count=grid.n).T
+            # one row past the grid tells a longer file apart, without reading the rest of it
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # of blank lines, which it skips, or of no rows, counted below
+                t, y = np.loadtxt(
+                    fh, delimiter=",", usecols=(0, 1), comments=None, quotechar='"', ndmin=2, max_rows=grid.n + 1
+                ).T
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read trajectory CSV: {exc}") from exc
-    _require(len(t) == grid.n, f"CSV has {len(t)} rows but the grid has {grid.n} nodes")
+    except SchemaError:
+        raise
+    except ValueError as exc:  # numpy names the row and the column
+        raise SchemaError(f"trajectory CSV: {exc}") from exc
+    rows = f"more than {grid.n}" if len(t) > grid.n else len(t)
+    _require(len(t) == grid.n, f"CSV has {rows} rows but the grid has {grid.n} nodes")
     if not np.allclose(t, grid.nodes(), rtol=0.0, atol=1e-9 * max(1.0, abs(grid.b))):
         raise GridMismatchError("CSV t column does not match the problem grid")
     return SampledFunction(grid, y)
