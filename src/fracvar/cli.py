@@ -5,6 +5,13 @@ documents (see README for the schema); expression strings inside them use the
 lagrange_dsl grammar.  All numeric output uses '.' decimal separators and 17
 significant digits so runs are byte-reproducible.
 
+Arguments are read by one table of commands, _COMMANDS, which also prints the
+usage lines of -h/--help.  An option is given as "--opt value" or
+"--opt=value", before or after the positionals; the token after it is always
+its value, so "--k -1e-3" works, and --grids takes the integers up to the next
+"--" token.  Option names are never abbreviated.  A usage error exits 2 with
+one line on stderr, as a schema error does.
+
 Exit codes: 0 success/converged, 2 parse/schema/precondition error, or a
 stdout its reader has closed, 3 solver non-convergence, no minimizer, or an
 abnormal (multiplier-free) constraint, 4 numeric domain error, or out of
@@ -16,7 +23,6 @@ makes the arrays where they would not fit.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
 import dataclasses
@@ -161,11 +167,11 @@ def _write_csv(out: Path | None, header: list[str], columns) -> None:
         raise SchemaError(f"cannot write output file: {exc}") from exc
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    doc = _load_problem_file(args.file, args.n)
+def cmd_solve(args: dict) -> int:
+    doc = _load_problem_file(args["file"], args["n"])
     p = _build_problem(doc)
     opts = SolverOptions(**doc.get("solver", {}))
-    out = _output_path(args.out or Path(args.file).with_suffix(".out.csv"))
+    out = _output_path(args["out"] or Path(args["file"]).with_suffix(".out.csv"))
     sol = solve_isoperimetric(p, opts) if p.constrained else solve_unconstrained(p, opts)
     summary = {
         "objective": sol.objective,
@@ -179,6 +185,31 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _write_csv(out, ["t", "y", "v", "el_residual"], columns)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK if sol.converged else EXIT_NOCONV
+
+
+def _is_number(text: str) -> bool:
+    """Whether np.loadtxt reads text as a float: as float() does, but with
+    neither underscores nor non-ASCII digits."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.isascii() and "_" not in text
+
+
+def _bad_line(path: str, rows: int) -> str | None:
+    """The first of the CSV's first rows that np.loadtxt refuses, named by its
+    line in the file: numpy's own row numbers skip the header and blank lines,
+    and count from 0 in one message and from 1 in another."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header, checked before
+        for _, row in zip(range(rows), filter(None, reader)):  # numpy skips blank lines too
+            for name, field in zip("ty", row + ["", ""]):
+                if not _is_number(field):
+                    what = f"{name} value {field!r} is not a number" if field else f"no {name} value"
+                    return f"line {reader.line_num}: {what}"
+    return None
 
 
 def _read_trajectory_csv(path: str, grid: Grid) -> SampledFunction:
@@ -197,8 +228,8 @@ def _read_trajectory_csv(path: str, grid: Grid) -> SampledFunction:
         raise SchemaError(f"cannot read trajectory CSV: {exc}") from exc
     except SchemaError:
         raise
-    except ValueError as exc:  # numpy names the row and the column
-        raise SchemaError(f"trajectory CSV: {exc}") from exc
+    except ValueError as exc:
+        raise SchemaError(f"trajectory CSV: {_bad_line(path, grid.n + 1) or exc}") from exc
     rows = f"more than {grid.n}" if len(t) > grid.n else len(t)
     _require(len(t) == grid.n, f"CSV has {rows} rows but the grid has {grid.n} nodes")
     if not np.allclose(t, grid.nodes(), rtol=0.0, atol=1e-9 * max(1.0, abs(grid.b))):
@@ -206,14 +237,14 @@ def _read_trajectory_csv(path: str, grid: Grid) -> SampledFunction:
     return SampledFunction(grid, y)
 
 
-def cmd_residual(args: argparse.Namespace) -> int:
-    doc = _load_problem_file(args.file, args.n)
+def cmd_residual(args: dict) -> int:
+    doc = _load_problem_file(args["file"], args["n"])
     p = _build_problem(doc)
-    _require(args.lam is None or _finite(args.lam), "--lambda must be a finite number")
+    _require(args["lambda"] is None or _finite(args["lambda"]), "--lambda must be a finite number")
     _check_memory(p.grid.n, _ARRAYS_PER_RESIDUAL, "a residual check")
-    y = _read_trajectory_csv(args.y, p.grid)
+    y = _read_trajectory_csv(args["y"], p.grid)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        res = el_residual(p, y, args.lam)
+        res = el_residual(p, y, args["lambda"])
     print(
         json.dumps(
             {
@@ -226,10 +257,10 @@ def cmd_residual(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_reference(args: argparse.Namespace) -> int:
-    grid = Grid(0.0, args.b, args.n)
-    spec = ReferenceSpec(k=args.k, order=FracOrder(args.alpha), xi=args.xi, grid=grid)
-    out = _output_path(args.out) if args.out else None
+def cmd_reference(args: dict) -> int:
+    grid = Grid(0.0, args["b"], args["n"])
+    spec = ReferenceSpec(k=args["k"], order=FracOrder(args["alpha"]), xi=args["xi"], grid=grid)
+    out = _output_path(args["out"]) if args["out"] else None
     _check_memory(grid.n, _ARRAYS_PER_REFERENCE, "a reference")
     y = ml_convolution_extremal(spec).values
     _write_csv(out, ["t", "y"], (grid.nodes(), y))
@@ -238,11 +269,11 @@ def cmd_reference(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_convergence(args: argparse.Namespace) -> int:
-    sizes = sorted(args.grids)
+def cmd_convergence(args: dict) -> int:
+    sizes = sorted(args["grids"])
     _require(len(sizes) >= 2, "need at least 2 grid sizes")
     _require(len(set(sizes)) == len(sizes), "grid sizes must be distinct")
-    doc = _load_problem_file(args.file)
+    doc = _load_problem_file(args["file"])
     opts = SolverOptions(**doc.get("solver", {}))
     problems = [_build_problem(dict(doc, n=n)) for n in sizes]
     _check_memory(sizes[-1], _ARRAYS_PER_SOLVE + len(sizes), "a convergence study")
@@ -283,52 +314,73 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_argparser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fracvar",
-        description="Solve and verify variational problems with combined "
-        "classical/fractional derivatives.",
-    )
-    parser.add_argument("--seed", help=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True)
+#: each command's handler, positionals, and options with their type and
+#: default, ... where the option must be given; an option of type list takes
+#: the integers up to the next "--" token
+_COMMANDS = {
+    "solve": (cmd_solve, ["file"], {"out": (str, None), "n": (int, None)}),
+    "residual": (cmd_residual, ["file"], {"y": (str, ...), "lambda": (float, None), "n": (int, None)}),
+    "reference": (
+        cmd_reference,
+        [],
+        {"k": (float, ...), "alpha": (float, ...), "xi": (float, ...), "n": (int, ...)}
+        | {"b": (float, 1.0), "out": (str, None)},
+    ),
+    "convergence": (cmd_convergence, ["file"], {"grids": (list, ...)}),
+}
 
-    s = sub.add_parser("solve", help="solve the problem described by a JSON file")
-    s.add_argument("file")
-    s.add_argument("--out", help="path for the solution CSV")
-    s.add_argument("--n", type=int, help="override the grid size")
-    s.set_defaults(func=cmd_solve)
 
-    s = sub.add_parser("residual", help="Euler-Lagrange residual of a supplied trajectory")
-    s.add_argument("file")
-    s.add_argument("--y", required=True, help="CSV with columns t,y on the problem grid")
-    s.add_argument("--lambda", dest="lam", type=float, default=None)
-    s.add_argument("--n", type=int, help="override the grid size")
-    s.set_defaults(func=cmd_residual)
+def _help(args: dict) -> int:
+    print("usage:")
+    for command, (_, positionals, options) in _COMMANDS.items():
+        words = [command, *(name.upper() for name in positionals)]
+        for name, (kind, default) in options.items():
+            word = f"--{name} {'N [N ...]' if kind is list else name.upper()}"
+            words.append(word if default is ... else f"[{word}]")
+        print("  fracvar", *words)
+    return EXIT_OK
 
-    s = sub.add_parser("reference", help="emit the semi-analytic reference extremal")
-    s.add_argument("--k", type=float, required=True)
-    s.add_argument("--alpha", type=float, required=True)
-    s.add_argument("--xi", type=float, required=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--b", type=float, default=1.0)
-    s.add_argument("--out", help="path for the t,y CSV (stdout when omitted)")
-    s.set_defaults(func=cmd_reference)
 
-    s = sub.add_parser("convergence", help="grid-refinement study")
-    s.add_argument("file")
-    s.add_argument("--grids", type=int, nargs="+", required=True)
-    s.set_defaults(func=cmd_convergence)
-    return parser
+def _parse_args(argv: list[str]) -> tuple:
+    """The handler that argv names and the arguments it takes.  An option
+    takes the next token as its value, so "--k -1e-3" gives k = -0.001."""
+    words, args, options, i = [], {}, {}, 0
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        if token in ("-h", "--help"):
+            return _help, {}
+        if not token.startswith("--"):
+            if not words:
+                _require(token in _COMMANDS, f"unknown command {token!r}; use one of {', '.join(_COMMANDS)}")
+                options = _COMMANDS[token][2]
+            words.append(token)
+            continue
+        name, eq, value = token[2:].partition("=")
+        _require(name != "seed", "--seed is not accepted; nothing in this tool is stochastic")
+        _require(name in options, f"unknown option --{name}" if words else f"option --{name} before the command")
+        kind, values = options[name][0], [value] if eq else []
+        while i < len(argv) and (not values or kind is list and not argv[i].startswith("--")):
+            values, i = values + [argv[i]], i + 1
+        _require(bool(values), f"--{name} expects a value")
+        try:
+            args[name] = [int(v) for v in values] if kind is list else kind(values[0])
+        except ValueError:
+            what = "a number" if kind is float else "integers" if kind is list else "an integer"
+            raise SchemaError(f"--{name} expects {what}, not {' '.join(values)!r}") from None
+    _require(bool(words), f"no command; use one of {', '.join(_COMMANDS)}")
+    command, *given = words
+    handler, positionals, options = _COMMANDS[command]
+    _require(len(given) == len(positionals), f"{command} takes {len(positionals)} argument(s), not {len(given)}")
+    for name, (_, default) in options.items():
+        _require(default is not ... or name in args, f"--{name} is required")
+        args.setdefault(name, default)
+    return handler, dict(zip(positionals, given), **args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_argparser()
-    args = parser.parse_args(argv)
-    if args.seed is not None:
-        print("error: --seed is not accepted; nothing in this tool is stochastic", file=sys.stderr)
-        return EXIT_SCHEMA
     try:
-        code = args.func(args)
+        handler, args = _parse_args(sys.argv[1:] if argv is None else argv)
+        code = handler(args)
         sys.stdout.flush()  # a reader that has closed stdout is met here, not at exit
         return code
     except OSError as exc:

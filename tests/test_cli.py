@@ -254,9 +254,7 @@ class TestSchemaErrors:
 
     def test_quiet_rejected(self, tmp_path, capsys):
         path = write_problem(tmp_path, k=0.0)
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", str(path), "--quiet"])
-        assert exc.value.code == EXIT_SCHEMA
+        assert run(capsys, "solve", path, "--quiet") == (EXIT_SCHEMA, "", "error: unknown option --quiet\n")
 
     def test_auto_reference_needs_xi(self, tmp_path, capsys):
         path = write_problem(tmp_path, yb="auto-reference")
@@ -268,6 +266,75 @@ class TestSchemaErrors:
         code, _, err = run(capsys, "--seed", "42", "solve", path)
         assert code == EXIT_SCHEMA
         assert "seed" in err
+
+
+class TestUsage:
+    """Every usage error exits 2 from main(), never by SystemExit, with nothing
+    on stdout and one line on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ((), "no command; use one of solve, residual, reference, convergence"),
+            (("bogus",), "unknown command 'bogus'; use one of solve, residual, reference, convergence"),
+            (("solve", "p.json", "--quiet"), "unknown option --quiet"),
+            (("reference", "--lam", "2"), "unknown option --lam"),
+            (("reference", "--al", "0.5", "--k", "1", "--xi", "1", "--n", "5"), "unknown option --al"),
+            (("--n", "5", "solve", "p.json"), "option --n before the command"),
+            (("reference", "--k", "1", "--alpha", "0.5", "--xi", "1", "--n"), "--n expects a value"),
+            (("convergence", "p.json", "--grids"), "--grids expects a value"),
+            (("reference", "--k", "1", "--alpha", "0.5", "--n", "5"), "--xi is required"),
+            (("residual", "p.json"), "--y is required"),
+            (("solve", "p.json", "--n", "1e3"), "--n expects an integer, not '1e3'"),
+            (("reference", "--k", "abc", "--alpha", "0.5", "--xi", "1", "--n", "5"), "--k expects a number, not 'abc'"),
+            (("convergence", "p.json", "--grids", "51", "x"), "--grids expects integers, not '51 x'"),
+            (("solve", "p.json", "extra"), "solve takes 1 argument(s), not 2"),
+            (("solve",), "solve takes 1 argument(s), not 0"),
+            (
+                ("reference", "x", "--k", "1", "--alpha", "0.5", "--xi", "1", "--n", "5"),
+                "reference takes 0 argument(s), not 1",
+            ),
+            (("--seed", "42", "solve", "p.json"), "--seed is not accepted; nothing in this tool is stochastic"),
+        ],
+        ids=[
+            "no-command", "unknown-command", "quiet", "abbreviation-lam", "abbreviation-al", "option-first",
+            "no-value", "no-grids", "required-option", "required-y", "n-1e3", "k-abc", "grids-x", "extra-positional",
+            "missing-positional", "reference-positional", "seed",
+        ],
+    )
+    def test_usage_error(self, capsys, argv, message):
+        assert run(capsys, *argv) == (EXIT_SCHEMA, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [("-h",), ("--help",), ("solve", "--help")])
+    def test_help(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines() == [
+            "usage:",
+            "  fracvar solve FILE [--out OUT] [--n N]",
+            "  fracvar residual FILE --y Y [--lambda LAMBDA] [--n N]",
+            "  fracvar reference --k K --alpha ALPHA --xi XI --n N [--b B] [--out OUT]",
+            "  fracvar convergence FILE --grids N [N ...]",
+        ]
+
+    def test_negative_values_with_exponents(self, tmp_path, capsys):
+        # an option takes the next token as its value, so "--k -1e-3" reads
+        # as "--k=-1e-3" does, in stdout and in the CSV
+        outs = []
+        for spelling in (["--k", "-1e-3", "--xi", "-1e-3"], ["--k=-1e-3", "--xi=-1e-3"]):
+            csv_path = tmp_path / f"ref{len(outs)}.csv"
+            outs.append(run(capsys, "reference", *spelling, "--alpha", 0.5, "--n", 11, "--out", csv_path))
+            outs.append(csv_path.read_bytes())
+            outs.append(run(capsys, "reference", *spelling, "--alpha", 0.5, "--n", 11))
+        assert outs[:3] == outs[3:] and outs[0][0] == EXIT_OK
+        assert json.loads(outs[0][1])["boundary_value"] < 0.0
+
+        path = write_problem(tmp_path, G="v", xi=1.0, n=11)
+        traj = tmp_path / "y.csv"
+        run(capsys, "solve", path, "--out", traj)
+        spaced = run(capsys, "residual", path, "--y", traj, "--lambda", "-2e0")
+        assert spaced == run(capsys, "residual", path, "--y", traj, "--lambda=-2e0")
+        assert spaced[0] == EXIT_OK and spaced != run(capsys, "residual", path, "--y", traj, "--lambda", "2e0")
 
 
 class TestNonFiniteInputs:
@@ -512,29 +579,25 @@ class TestResidual:
             ("t\n0\n0.5\n1\n", "error: CSV must have columns t,y\n"),
             ("t,y\n", "error: CSV has 0 rows but the grid has 3 nodes\n"),
             ("t,y\n0,0\n1,1\n", "error: CSV has 2 rows but the grid has 3 nodes\n"),
-            ("t,y\n0,0\n0.5\n1,1\n0,0\n", ("row",)),
-            ("t,y\n0,0\n0.5\n1,1\n", ("row",)),
-            ("t,y\n0,0\n0.5,abc\n1,1\n", ("row", "'abc'")),
-            ("t,y\n0,0\n0.5,0.5\n1,1_0\n", ("row", "'1_0'")),
+            ("t,y\n0,0\n0.5\n1,1\n0,0\n", "error: trajectory CSV: line 3: no y value\n"),
+            ("t,y\n0,0\n0.5\n1,1\n", "error: trajectory CSV: line 3: no y value\n"),
+            ("t,y\n0,0\n0.5,abc\n1,1\n", "error: trajectory CSV: line 3: y value 'abc' is not a number\n"),
+            ("t,y\n0,0\n0.5,0.5\n1,1_0\n", "error: trajectory CSV: line 4: y value '1_0' is not a number\n"),
+            ("t,y\n\n0,0\n\n,0.5\n1,1\n", "error: trajectory CSV: line 5: no t value\n"),
             ("t,y\n0,0\n0.6,0.5\n1,1\n", "error: CSV t column does not match the problem grid\n"),
         ],
         ids=[
             "empty", "blank-header", "one-column", "no-rows", "few-rows", "many-rows", "short-row", "not-a-number",
-            "python-only-spelling", "off-grid",
+            "python-only-spelling", "blank-lines", "off-grid",
         ],
     )
     def test_trajectory_csv_messages(self, tmp_path, capsys, text, message):
-        # every fault is named in one line: a row numpy cannot parse in
-        # numpy's words, which differ between its versions, so by their parts
+        # every fault is named in one line; a row numpy cannot parse by its
+        # line in the file, counting the header and blank lines
         path = write_problem(tmp_path, k=0.0, n=3)
         traj = tmp_path / "y.csv"
         traj.write_text(text, encoding="utf-8")
-        code, out, err = run(capsys, "residual", path, "--y", traj)
-        assert (code, out, err.count("\n")) == (EXIT_SCHEMA, "", 1)
-        if isinstance(message, str):
-            assert err == message
-        else:
-            assert err.startswith("error: trajectory CSV: ") and all(part in err for part in message)
+        assert run(capsys, "residual", path, "--y", traj) == (EXIT_SCHEMA, "", message)
 
     def test_trajectory_csv_forms_a_row_reader_accepts(self, tmp_path, capsys):
         # quoted fields, a blank line, extra columns and CRLF line ends read

@@ -53,7 +53,9 @@ def test_tracer_resolves_every_name():
 
 
 def test_cli_import_set():
-    # mpmath and scipy serve the tests as oracles only; the CLI runs without them
-    code = "import sys, fracvar.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
+    # mpmath and scipy serve the tests as oracles only; the CLI runs without
+    # them, and parses its own arguments without argparse and gettext
+    names = ("scipy", "mpmath", "argparse", "gettext")
+    code = f"import sys, fracvar.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in {names}))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
