@@ -12,8 +12,9 @@ its value, so "--k -1e-3" works, and --grids takes the integers up to the next
 "--" token.  Option names are never abbreviated.  A usage error exits 2 with
 one line on stderr, as a schema error does.
 
-Exit codes: 0 success/converged, 2 parse/schema/precondition error, or a
-stdout its reader has closed, 3 solver non-convergence, no minimizer, or an
+Exit codes: 0 success/converged, 2 parse/schema/precondition error, an
+expression that nests deeper than Python's recursion limit, or a stdout its
+reader has closed, 3 solver non-convergence, no minimizer, or an
 abnormal (multiplier-free) constraint, 4 numeric domain error, or out of
 memory: every command holds its arrays of n values, about 40 at most, and
 writes CSV text a block of rows at a time; a trajectory CSV is read by one
@@ -232,7 +233,7 @@ def _read_trajectory_csv(path: str, grid: Grid) -> SampledFunction:
         raise SchemaError(f"trajectory CSV: {_bad_line(path, grid.n + 1) or exc}") from exc
     rows = f"more than {grid.n}" if len(t) > grid.n else len(t)
     _require(len(t) == grid.n, f"CSV has {rows} rows but the grid has {grid.n} nodes")
-    if not np.allclose(t, grid.nodes(), rtol=0.0, atol=1e-9 * max(1.0, abs(grid.b))):
+    if not np.allclose(t, grid.nodes(), rtol=0.0, atol=1e-9 * max(1.0, abs(grid.a), abs(grid.b))):
         raise GridMismatchError("CSV t column does not match the problem grid")
     return SampledFunction(grid, y)
 
@@ -397,6 +398,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NOCONV
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except RecursionError:
+        # the expression language parses, differentiates and evaluates a tree
+        # by recursion, one call per level
+        print("error: an expression nests too deeply for Python's recursion limit", file=sys.stderr)
         return EXIT_SCHEMA
     except MemoryError as exc:
         # the array's owner, or numpy, names what did not fit

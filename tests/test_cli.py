@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 import fracvar.cli
+import fracvar.lagrange_dsl
 import fracvar.solver
 import fracvar.variational
 from fracvar.cli import EXIT_DOMAIN, EXIT_NOCONV, EXIT_OK, EXIT_SCHEMA, main
@@ -161,6 +162,8 @@ class TestSolve:
 
 
 class TestSchemaErrors:
+    TOO_DEEP = "error: an expression nests too deeply for Python's recursion limit\n"
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "solve", tmp_path / "absent.json")
         assert code == EXIT_SCHEMA
@@ -208,6 +211,33 @@ class TestSchemaErrors:
         assert code == EXIT_SCHEMA
         assert out == "" and err.startswith('error: key "F": ') and err.count("\n") == 1
         assert "at offset 0" in err
+        assert not (tmp_path / "problem.out.csv").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "residual", "convergence"])
+    @pytest.mark.parametrize(
+        "source",
+        ["+".join(["v^2"] * 3000), "(" * 3000 + "v^2" + ")" * 3000, "*".join(["(1+v^2)"] * 3000)],
+        ids=["3000-terms", "3000-parentheses", "3000-factors"],
+    )
+    def test_expression_nests_too_deeply(self, tmp_path, capsys, command, source):
+        # the parser and the derivatives recurse once per level of the tree;
+        # these lie far past Python's recursion limit, whatever its value
+        path = write_problem(tmp_path, F=source, n=3)
+        traj = tmp_path / "y.csv"
+        traj.write_text("t,y\n0,0\n0.5,0.5\n1,1\n", encoding="utf-8")
+        extra = {"solve": ("--out", tmp_path / "sol.csv"), "residual": ("--y", traj), "convergence": ("--grids", 3, 5)}
+        assert run(capsys, command, path, *extra[command]) == (EXIT_SCHEMA, "", self.TOO_DEEP)
+        assert not (tmp_path / "sol.csv").exists()
+
+    def test_evaluation_nests_too_deeply(self, tmp_path, capsys, monkeypatch):
+        # stands in for an expression that parses and differentiates within
+        # the recursion limit, and passes it in the solve's evaluation
+        def too_deep(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(fracvar.lagrange_dsl, "_eval", too_deep)
+        path = write_problem(tmp_path, n=11)
+        assert run(capsys, "solve", path) == (EXIT_SCHEMA, "", self.TOO_DEEP)
         assert not (tmp_path / "problem.out.csv").exists()
 
     def test_constraint_syntax_error(self, tmp_path, capsys):
@@ -485,14 +515,21 @@ class TestResidual:
         assert " n " in err and "dense" not in err
         assert peak < 10 * 2**20
 
-    def test_round_trip(self, tmp_path, capsys):
-        # residual of a solve's own trajectory must reproduce the solve's norm
-        path = write_problem(tmp_path, k=0.0)
+    @pytest.mark.parametrize(
+        "doc", [dict(k=0.0), dict(G="v", xi=1.0, k=-0.5, ya=0.3, n=201)], ids=["unconstrained", "constrained-ya"]
+    )
+    def test_round_trip(self, tmp_path, capsys, doc):
+        # residual of a solve's own trajectory, under the multiplier the solve
+        # printed, must reproduce the solve's norm; at ya != 0 both read v
+        # with the boundary column
+        path = write_problem(tmp_path, **doc)
         out_csv = tmp_path / "sol.csv"
         code, out, _ = run(capsys, "solve", path, "--out", out_csv)
         assert code == EXIT_OK
-        el_norm = json.loads(out.strip())["el_norm"]
-        code, out, _ = run(capsys, "residual", path, "--y", out_csv)
+        summary = json.loads(out.strip())
+        el_norm = summary["el_norm"]
+        lam = () if summary["lambda"] is None else ("--lambda", summary["lambda"])
+        code, out, _ = run(capsys, "residual", path, "--y", out_csv, *lam)
         assert code == EXIT_OK
         report = json.loads(out.strip())
         assert report["norm_max_interior"] == pytest.approx(el_norm, rel=1e-12, abs=1e-15)
@@ -542,6 +579,18 @@ class TestResidual:
         run(capsys, "solve", path, "--n", 51, "--out", out_csv)
         code, _, _ = run(capsys, "residual", path, "--y", out_csv)
         assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("a, b", [(-1e6, 0.0), (0.0, 1e6)])
+    def test_t_tolerance_scales_with_the_interval(self, tmp_path, capsys, a, b):
+        # every t off by 1e-7, 1e-13 of the interval's scale, is read as the
+        # grid's on either side of 0
+        path = write_problem(tmp_path, a=a, b=b, k=0.0, n=3)
+        exact, shifted = tmp_path / "exact.csv", tmp_path / "shifted.csv"
+        for traj, dt in ((exact, 0.0), (shifted, 1e-7)):
+            rows = "".join(f"{t + dt!r},{y!r}\n" for t, y in zip((a, (a + b) / 2, b), (0.0, 0.5, 1.0)))
+            traj.write_text("t,y\n" + rows, encoding="utf-8")
+        outs = [run(capsys, "residual", path, "--y", traj) for traj in (exact, shifted)]
+        assert outs[0] == outs[1] and outs[0][0] == EXIT_OK
 
     def test_row_without_y(self, tmp_path, capsys):
         path = write_problem(tmp_path, k=0.0, n=3)
@@ -793,7 +842,7 @@ class TestConvergence:
         report = json.loads(out.strip())
         errors = [entry["error"] for entry in report["entries"]]
         assert errors[0] > errors[1] > errors[2]
-        assert all(order is None or order >= 0.85 for order in report["orders"])
+        assert all(order is not None and order >= 0.85 for order in report["orders"])
 
     def test_reference_family_by_structure(self, tmp_path, capsys):
         # "(v)^2" parses to the same expression as "v^2", so the reference
@@ -907,6 +956,9 @@ class TestMemoryPeaks:
         code, peak = self.peak(tmp_path, "reference", "--alpha", 0.9, f"--k={k}", "--xi", 1, "--n", self.N, *out)
         assert code == EXIT_OK
         assert peak <= fracvar.cli._ARRAYS_PER_REFERENCE
+        # a header and N rows, and on stdout the JSON line after them
+        text = (tmp_path / ("stdout.txt" if to_stdout else "ref.csv")).read_text(encoding="utf-8")
+        assert text.count("\n") == self.N + 1 + to_stdout
 
     def test_residual(self, tmp_path, criterion_four):
         path, sol_csv, _ = criterion_four

@@ -180,12 +180,15 @@ class TestNonExtremalityOfConstraint:
 
 
 class TestClosedFormSignResolution:
-    def test_winning_variant(self):
-        s = spec(alpha=0.5, xi=1.0, n=101)
+    @pytest.mark.parametrize("b, n, tol", [(1.0, 101, 1e-7), (0.25, 1001, 1e-14)])
+    def test_winning_variant(self, b, n, tol):
+        # on [0, 1/4] every z = -t^(1/2) lies in [-1/2, 0], so the series
+        # alone gives each value, to rounding; y on [0, b] is y(t; xi / b)
+        s = spec(alpha=0.5, xi=1.0, n=n, b=b)
         y = ml_convolution_extremal(s)
         t = s.grid.nodes()
-        closed = np.array([closed_form_alpha_half(float(ti), 1.0) for ti in t])
-        assert np.max(np.abs(y.values - closed)) <= 1e-7
+        closed = np.array([closed_form_alpha_half(float(ti), 1.0 / b) for ti in t])
+        assert np.max(np.abs(y.values - closed)) <= tol
 
     def test_losing_variant(self):
         # the same formula with the sqrt term negated drifts far from the

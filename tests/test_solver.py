@@ -589,7 +589,7 @@ BENCHMARK_PROBLEMS = [
 ]
 
 
-@pytest.mark.parametrize("n", [1001, 4001])
+@pytest.mark.parametrize("n", [1001, 4001, 16001])
 def test_no_benchmark_problem_reaches_the_cg_cap(monkeypatch, n):
     runs = []
     cg = fracvar.solver._cg

@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps fracvar callables by name; a renamed callable
-must fail here, not only in a benchmark run.  The CLI's imports stay within
-the runtime dependency, numpy."""
+must fail here, not only in a benchmark run.  The program's imports stay
+within the runtime dependency, numpy, and the standard library."""
 
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from fracvar.fracgrid import FracOrder, Grid
 from fracvar.lagrange_dsl import Lagrangian
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "fracvar"
 
 
 def load_tracing():
@@ -59,3 +61,23 @@ def test_cli_import_set():
     code = f"import sys, fracvar.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in {names}))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_src_imports_numpy_and_the_standard_library_only():
+    # every import statement in src/, at module level or inside a function,
+    # whether a run reaches it or not; relative imports stay in the package,
+    # and importlib or __import__ would import a module no statement names
+    allowed = (sys.stdlib_module_names - {"importlib"}) | {"numpy"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif getattr(node, "id", None) == "__import__" or getattr(node, "attr", None) == "__import__":
+                names = ["__import__"]
+            else:
+                names = []
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
+    assert found == []

@@ -45,24 +45,28 @@ def arclength_bound(alpha, k):
     return scipy.integrate.quad(lambda tau: e(tau) ** 2 / math.sqrt(1.0 - e(tau) ** 2), 0.0, 1.0)[0]
 
 
-# F, the inverse of F', a bracket of mu, and alpha, k, yb
-CASES = [
-    ("v^4", lambda w: np.cbrt(w / 4.0), (0.1, 100.0), 0.3, 0.7, 1.0),
-    ("exp(v)", math.log, (0.1, 100.0), 0.3, 0.7, 1.0),
-    # at alpha = 0.5, k = 1 no mu < 1 reaches yb = 0.5, and no minimizer exists
-    # there (test_arclength_bound): the problem is posed where one does
-    ("sqrt(1+v^2)", lambda w: w / math.sqrt(1.0 - w * w), (0.0, 0.999), 0.3, 0.7, 0.5),
-]
+# F: the inverse of F', and a bracket of mu
+EXTREMALS = {
+    "v^4": (lambda w: np.cbrt(w / 4.0), (0.1, 100.0)),
+    "exp(v)": (math.log, (0.1, 100.0)),
+    "sqrt(1+v^2)": (lambda w: w / math.sqrt(1.0 - w * w), (0.0, 0.999)),
+}
+
+# F and yb at alpha = 0.3, k = 0.7; at alpha = 0.5, k = 1 no mu < 1 brings
+# sqrt(1+v^2) to yb = 0.5, and no minimizer exists there (test_arclength_bound):
+# the problem is posed where one does
+CASES = [("v^4", 1.0), ("exp(v)", 1.0), ("sqrt(1+v^2)", 0.5)]
 
 
-@pytest.mark.parametrize("source, v_of_w, bracket, alpha, k, yb", CASES, ids=[c[0] for c in CASES])
-def test_solves_approach_the_exact_extremal(source, v_of_w, bracket, alpha, k, yb):
+def solve_errors(source, alpha, k, yb, grids):
+    """The max error of the solves on the grids at SAMPLES, against the exact extremal."""
+    v_of_w, bracket = EXTREMALS[source]
     e = kernel(alpha, k)
     mu = scipy.optimize.brentq(lambda mu: trajectory(e, v_of_w, mu, 1.0) - yb, *bracket)
     exact = np.array([trajectory(e, v_of_w, mu, t) for t in SAMPLES])
 
     errors = []
-    for n in (501, 1001, 2001):
+    for n in grids:
         grid = Grid(0.0, 1.0, n)
         p = Problem(f=Lagrangian.parse(source), k=k, order=FracOrder(alpha), grid=grid, ya=0.0, yb=yb)
         sol = solve_unconstrained(p)
@@ -70,8 +74,31 @@ def test_solves_approach_the_exact_extremal(source, v_of_w, bracket, alpha, k, y
         # every sample is a node of these grids
         nodes = [round(t * (n - 1)) for t in SAMPLES]
         errors.append(float(np.max(np.abs(sol.y.values[nodes] - exact))))
-    orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
-    assert all(order >= 0.85 for order in orders), (errors, orders)
+    return errors
+
+
+def orders(errors):
+    """The observed orders between successive grids, each twice the last."""
+    return [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
+
+
+@pytest.mark.parametrize("source, yb", CASES, ids=[c[0] for c in CASES])
+def test_solves_approach_the_exact_extremal(source, yb):
+    errors = solve_errors(source, 0.3, 0.7, yb, (501, 1001, 2001))
+    assert all(order >= 0.85 for order in orders(errors)), (errors, orders(errors))
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("source, yb", [("v^4", 1.0), ("exp(v)", 1.0), ("sqrt(1+v^2)", 0.4)])
+def test_first_order_across_alpha(source, yb, alpha):
+    # sqrt(1+v^2) is posed at yb = 0.4, below the arclength bound at each
+    # alpha (0.49458 at alpha = 0.75); v^4 at alpha = 0.75 approaches first
+    # order from below, 0.82 to 0.89 on these grids
+    errors = solve_errors(source, alpha, 0.7, yb, (501, 1001, 2001, 4001))
+    got = orders(errors)
+    assert all(order >= 0.8 for order in got) and got[-1] >= 0.85, (errors, got)
+    gaps = [abs(order - 1.0) for order in got]
+    assert all(g0 > g1 for g0, g1 in zip(gaps, gaps[1:])), (errors, got)
 
 
 def test_arclength_bound():
@@ -80,3 +107,8 @@ def test_arclength_bound():
     # below it, so there brentq has no bracket and the problem no minimizer
     assert arclength_bound(0.3, 0.7) == pytest.approx(0.78858, abs=1e-5)
     assert arclength_bound(0.5, 1.0) == pytest.approx(0.43270, abs=1e-5)
+    # at k = 0.7 the bound falls with alpha, and stays above the yb = 0.4 of
+    # test_first_order_across_alpha
+    assert arclength_bound(0.25, 0.7) == pytest.approx(0.84419, abs=1e-5)
+    assert arclength_bound(0.5, 0.7) == pytest.approx(0.61970, abs=1e-5)
+    assert arclength_bound(0.75, 0.7) == pytest.approx(0.49458, abs=1e-5)
