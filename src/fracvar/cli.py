@@ -12,11 +12,12 @@ its value, so "--k -1e-3" works, and --grids takes the integers up to the next
 "--" token.  Option names are never abbreviated.  A usage error exits 2 with
 one line on stderr, as a schema error does.
 
-Exit codes: 0 success/converged, 2 parse/schema/precondition error, an
-expression that nests deeper than Python's recursion limit, or a stdout its
-reader has closed, 3 solver non-convergence, no minimizer, or an
-abnormal (multiplier-free) constraint, 4 numeric domain error, or out of
-memory: every command holds its arrays of n values, about 40 at most, and
+Exit codes: 0 success/converged, 2 parse/schema/precondition error (more
+than 199 nested parentheses included), an expression that nests deeper than
+Python's recursion limit or its parser's stack, or a stdout its reader has
+closed, 3 solver non-convergence, no minimizer, or an abnormal
+(multiplier-free) constraint, 4 numeric domain error, or out of memory:
+every command holds its arrays of n values, about 40 at most, and
 writes CSV text a block of rows at a time; a trajectory CSV is read by one
 np.loadtxt call that stops after n + 1 rows.  A command is refused before it
 makes the arrays where they would not fit.
@@ -400,8 +401,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except RecursionError:
-        # the expression language parses, differentiates and evaluates a tree
-        # by recursion, one call per level
+        # Python's parser, the node map, the derivatives and the evaluation
+        # recurse once per level of an expression's tree; parse raises it too
+        # where CPython's parser stack overflows
         print("error: an expression nests too deeply for Python's recursion limit", file=sys.stderr)
         return EXIT_SCHEMA
     except MemoryError as exc:

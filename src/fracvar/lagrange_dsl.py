@@ -1,11 +1,13 @@
 """Expression language for Lagrangians F(t, y, v).
 
-Recursive-descent parser with the precedence chain
-``^`` (right-associative) > unary minus > ``*``, ``/`` > ``+``, ``-``,
-plus exact symbolic differentiation in y and v with light simplification
-(constant folding and the x+0 / x*1 / x*0 family).  One table entry per
-operator holds its numpy function, its domain tests and its derivative rule;
-evaluation and differentiation look operators up there.
+Over fracvar's own tokens the grammar is Python's arithmetic with ``^`` for
+``**`` (``^``, right-associative, > unary minus > ``*``, ``/`` > ``+``,
+``-``): the tokens are checked here, Python's parser reads their order, and
+its nodes map onto the tree.  Exact symbolic differentiation in y and v
+comes with light simplification (constant folding and the x+0 / x*1 / x*0
+family).  One table entry per operator holds its numpy function, its domain
+tests and its derivative rule; evaluation and differentiation look operators
+up there.
 
 Here v stands for the combined derivative y' + k * D^alpha y; the grammar
 itself never sees alpha or k.
@@ -13,11 +15,13 @@ itself never sees alpha or k.
 
 from __future__ import annotations
 
+import ast
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -211,106 +215,65 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        kind, text, offset = self.peek()
-        if kind == "op" and text == op:
-            self.advance()
-            return
-        raise ExprSyntaxError(f"unexpected token {text or 'end of input'!r}", offset, (op,))
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, text, offset = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(
-                f"unexpected trailing token {text!r}", offset, ("+", "-", "*", "/", "^", "end of input")
-            )
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                e = add(e, rhs) if text == "+" else sub(e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.unary()
-                e = mul(e, rhs) if text == "*" else div(e, rhs)
-            else:
-                return e
-
-    def unary(self) -> Expr:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return pow_(base, self.unary())  # right-associative
-        return base
-
-    def atom(self) -> Expr:
-        kind, text, offset = self.advance()
+def _python_source(tokens: list[tuple[str, str, int]]) -> str:
+    """The checked tokens as Python, one a line inside a pair of parentheses:
+    line 2 + i is token i, and the closing line is the end token."""
+    lines, depth = ["("], 0
+    for kind, text, offset in tokens:
         if kind == "num":
             value = float(text)
             if not math.isfinite(value):  # inf has no spelling that parses back
                 raise ExprSyntaxError(f"number {text!r} is beyond double range", offset)
-            return _const(value)
-        if kind == "ident":
-            nkind, ntext, _ = self.peek()
-            if nkind == "op" and ntext == "(":
-                if text not in FUNCTIONS:
-                    raise UnknownIdentifierError(f"unknown function {text!r}", offset, FUNCTIONS)
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Unary(text, arg)
-            if text not in VARIABLES:
-                raise UnknownIdentifierError(f"unknown identifier {text!r}", offset, VARIABLES)
-            return Var(text)
-        if kind == "op" and text == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        raise ExprSyntaxError(
-            f"unexpected token {text or 'end of input'!r}",
-            offset,
-            ("number", "identifier", "(", "-"),
-        )
+            text = repr(value)  # Python refuses a spelling such as 01
+        elif kind == "ident" and text not in VARIABLES + FUNCTIONS:
+            raise UnknownIdentifierError(f"unknown identifier {text!r}", offset, VARIABLES + FUNCTIONS)
+        depth += {"(": 1, ")": -1}.get(text, 0)
+        if depth < 0:  # it would close the wrapping parenthesis
+            raise ExprSyntaxError("unexpected token ')'", offset)
+        lines.append({"^": "**", "": ")"}.get(text, text))
+    if depth:
+        raise ExprSyntaxError("unexpected token 'end of input'", tokens[-1][2], (")",))
+    return "\n".join(lines)
+
+
+_BINARY_NODES = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: div, ast.Pow: pow_}
+
+
+def _build(node: ast.expr, tokens: list[tuple[str, str, int]]) -> Expr:
+    """The tree of a Python node, built by the simplifying constructors."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_NODES:
+        return _BINARY_NODES[type(node.op)](_build(node.left, tokens), _build(node.right, tokens))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return neg(_build(node.operand, tokens))
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and len(node.args) == 1 and not node.keywords:
+        if node.func.id not in FUNCTIONS:
+            raise UnknownIdentifierError(f"unknown function {node.func.id!r}", tokens[node.lineno - 2][2], FUNCTIONS)
+        return Unary(node.func.id, _build(node.args[0], tokens))
+    if isinstance(node, ast.Name):
+        if node.id not in VARIABLES:
+            raise UnknownIdentifierError(f"unknown identifier {node.id!r}", tokens[node.lineno - 2][2], VARIABLES)
+        return Var(node.id)
+    if isinstance(node, ast.Constant):
+        return _const(node.value)
+    # any other call is faulted at its '(', anything else at its first token
+    raise _unexpected(tokens, node.func.end_lineno + 1 if isinstance(node, ast.Call) else node.lineno)
+
+
+def _unexpected(tokens: list[tuple[str, str, int]], line: int) -> ExprSyntaxError:
+    _, text, offset = tokens[max(line - 2, 0)]  # line 1 is the wrapping parenthesis
+    return ExprSyntaxError(f"unexpected token {text or 'end of input'!r}", offset)
 
 
 def parse(src: str) -> Expr:
     """Parse expression text into a (lightly simplified) tree."""
-    return _Parser(src).parse()
+    tokens = _tokenize(src)
+    try:
+        tree = ast.parse(_python_source(tokens), mode="eval")
+    except SyntaxError as exc:
+        raise _unexpected(tokens, exc.lineno) from None
+    except MemoryError:  # "Parser stack overflowed": CPython's own depth limit
+        raise RecursionError("expression nests too deeply") from None
+    return _build(tree.body, tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -454,28 +417,34 @@ def _diff(e: Expr, var: str) -> Expr:
 ArrayLike = Union[float, np.ndarray]
 
 
-def _eval(e: Expr, t: ArrayLike, y: ArrayLike, v: ArrayLike) -> ArrayLike:
+def _eval(e: Expr, t: ArrayLike, y: ArrayLike, v: ArrayLike, uses: Counter, memo: dict) -> ArrayLike:
+    """The value of e.  A subtree that the derivatives share is evaluated
+    once: memo holds its value, by id, until the last of its uses."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
         return {"t": t, "y": y, "v": v}[e.name]
-    op = _op(e)
-    args = [_eval(x, t, y, v) for x in _operands(e)]
-    for test, message in op.domain:
-        ok = np.asarray(test(*args))
-        if not np.all(ok):
-            raise EvalDomainError(f"{message} in {to_str(e)!r}", e, int(np.argmin(ok)) if ok.ndim else None)
-    return op.fn(*args)
+    if id(e) not in memo:
+        op = _op(e)
+        args = [_eval(x, t, y, v, uses, memo) for x in _operands(e)]
+        for test, message in op.domain:
+            ok = np.asarray(test(*args))
+            if not np.all(ok):
+                raise EvalDomainError(f"{message} in {to_str(e)!r}", e, int(np.argmin(ok)) if ok.ndim else None)
+        memo[id(e)] = op.fn(*args)
+    uses[id(e)] -= 1
+    return memo[id(e)] if uses[id(e)] else memo.pop(id(e))
 
 
 def evaluate(e: Expr, t: float, y: float, v: float) -> float:
     """Double-precision evaluation at a single point."""
-    return float(_eval(e, float(t), float(y), float(v)))
+    return float(_eval(e, float(t), float(y), float(v), Counter(map(id, _walk(e))), {}))
 
 
 def evaluate_many(e: Expr, t: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over parallel node arrays."""
-    out = _eval(e, np.asarray(t, dtype=float), np.asarray(y, dtype=float), np.asarray(v, dtype=float))
+    t, y, v = (np.asarray(x, dtype=float) for x in (t, y, v))
+    out = _eval(e, t, y, v, Counter(map(id, _walk(e))), {})
     return np.broadcast_to(np.asarray(out, dtype=float), np.shape(t)).copy()
 
 
@@ -527,11 +496,19 @@ class Lagrangian:
 
 
 def _variables(e: Expr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Const):
-        return set()
-    return set().union(*map(_variables, _operands(e)))
+    return {node.name for node in _walk(e) if isinstance(node, Var)}
+
+
+def _walk(e: Expr) -> Iterator[Expr]:
+    """e, and each node below it once for each reference to it; the operands
+    of a shared node are walked once."""
+    seen, todo = set(), [e]
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, (Unary, Binary)) and id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(_operands(node))
 
 
 class AugmentedLagrangian(Lagrangian):

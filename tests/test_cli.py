@@ -215,18 +215,27 @@ class TestSchemaErrors:
 
     @pytest.mark.parametrize("command", ["solve", "residual", "convergence"])
     @pytest.mark.parametrize(
-        "source",
-        ["+".join(["v^2"] * 3000), "(" * 3000 + "v^2" + ")" * 3000, "*".join(["(1+v^2)"] * 3000)],
-        ids=["3000-terms", "3000-parentheses", "3000-factors"],
+        "source, error",
+        [
+            ("+".join(["v^2"] * 3000), TOO_DEEP),
+            # CPython's parser refuses more than 200 nested parentheses, the
+            # pair that wraps the expression included
+            ("(" * 3000 + "v^2" + ")" * 3000, "error: key \"F\": unexpected token '(' at offset 199\n"),
+            ("*".join(["(1+v^2)"] * 3000), TOO_DEEP),
+            ("-" * 3000 + "v^2", TOO_DEEP),
+            ("^".join(["v"] * 3000), TOO_DEEP),
+        ],
+        ids=["3000-terms", "3000-parentheses", "3000-factors", "3000-minus", "3000-powers"],
     )
-    def test_expression_nests_too_deeply(self, tmp_path, capsys, command, source):
-        # the parser and the derivatives recurse once per level of the tree;
-        # these lie far past Python's recursion limit, whatever its value
+    def test_expression_nests_too_deeply(self, tmp_path, capsys, command, source, error):
+        # Python's parser and the derivatives recurse once per level of the
+        # tree, and CPython's parser stack overflows: these lie far past both
+        # limits, whatever the recursion limit's value
         path = write_problem(tmp_path, F=source, n=3)
         traj = tmp_path / "y.csv"
         traj.write_text("t,y\n0,0\n0.5,0.5\n1,1\n", encoding="utf-8")
         extra = {"solve": ("--out", tmp_path / "sol.csv"), "residual": ("--y", traj), "convergence": ("--grids", 3, 5)}
-        assert run(capsys, command, path, *extra[command]) == (EXIT_SCHEMA, "", self.TOO_DEEP)
+        assert run(capsys, command, path, *extra[command]) == (EXIT_SCHEMA, "", error)
         assert not (tmp_path / "sol.csv").exists()
 
     def test_evaluation_nests_too_deeply(self, tmp_path, capsys, monkeypatch):

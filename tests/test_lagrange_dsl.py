@@ -175,6 +175,45 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             parse("y % 2")
 
+    @pytest.mark.parametrize("src, tree", [
+        ("01", Const(1.0)),
+        ("1.", Const(1.0)),
+        (".5", Const(0.5)),
+        ("1E3", Const(1000.0)),
+        ("007", Const(7.0)),
+        ("v\t+\n2", Binary("+", Var("v"), Const(2.0))),
+        ("\n exp\t(\nv )\t", Unary("exp", Var("v"))),
+        ("v^-2", Binary("^", Var("v"), Const(-2.0))),
+        ("- - v", Var("v")),
+        ("2*-v", Binary("*", Const(2.0), Unary("neg", Var("v")))),
+        ("2--v", Binary("-", Const(2.0), Unary("neg", Var("v")))),
+        ("2^3^2", Const(512.0)),
+        ("-2^2", Const(-4.0)),
+        ("v^-y^2", Binary("^", Var("v"), Unary("neg", Binary("^", Var("y"), Const(2.0))))),
+        ("exp (v)", Unary("exp", Var("v"))),
+        ("((v))", Var("v")),
+    ])
+    def test_edge_spellings(self, src, tree):
+        assert parse(src) == tree
+
+    @pytest.mark.parametrize("src", [
+        "+v", "v**2", "()", "", "exp()", "exp(v)(y)", "2(v)", "exp(*v)", "exp(^v)", "v)+(y", "sin(t", "v 2",
+        "1_0", "0x10", "1j", "v # c",
+    ])
+    def test_rejected_forms(self, src):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(src)
+        assert 0 <= exc.value.offset <= len(src)
+
+    @pytest.mark.parametrize("src, offset", [
+        ("v(y)", 0), ("exp", 0), ("y*sin", 2), ("not v", 0), ("True", 0), ("None", 0), ("lambda", 0),
+    ])
+    def test_rejected_names(self, src, offset):
+        # no name reaches Python's parser but the variables and the functions
+        with pytest.raises(UnknownIdentifierError) as exc:
+            parse(src)
+        assert exc.value.offset == offset
+
 
 class TestToStr:
     def test_round_trip_examples(self):
@@ -487,3 +526,23 @@ class TestLagrangian:
     def test_augmented_structure(self, f, g, quadratic, affine):
         h = AugmentedLagrangian(Lagrangian.parse(f), Lagrangian.parse(g), 0.5)
         assert (h.quadratic, h.affine) == (quadratic, affine)
+
+    def test_each_shared_node_is_evaluated_once(self, monkeypatch):
+        # the partials share subtrees: d33 of 40 factors is 3,747 distinct
+        # nodes, but 138,997 when walked as a tree
+        lagr = Lagrangian.parse("*".join(["(1+v^2)"] * 40))
+        seen, todo = {}, [lagr.d33]
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen[id(node)] = node
+                todo.extend(dsl._operands(node) if isinstance(node, (Unary, Binary)) else ())
+        assert len(seen) == 3747
+        applied = []
+        op = dsl._op
+        monkeypatch.setattr(dsl, "_op", lambda e: applied.append(e) or op(e))
+        v = np.linspace(0.0, 0.1, 11)
+        out = lagr.dvv(v, v, v)
+        assert len(applied) == sum(isinstance(node, (Unary, Binary)) for node in seen.values())
+        u = 1.0 + v**2
+        np.testing.assert_allclose(out, u**40 * (1560.0 * (2.0 * v / u) ** 2 + 80.0 / u), rtol=1e-12)

@@ -58,23 +58,21 @@ EXTREMALS = {
 CASES = [("v^4", 1.0), ("exp(v)", 1.0), ("sqrt(1+v^2)", 0.5)]
 
 
+def solved_y(source, alpha, k, yb, n, samples):
+    """The converged solve's y at the samples, each a node of the grid."""
+    p = Problem(f=Lagrangian.parse(source), k=k, order=FracOrder(alpha), grid=Grid(0.0, 1.0, n), ya=0.0, yb=yb)
+    sol = solve_unconstrained(p)
+    assert sol.converged
+    return sol.y.values[[round(t * (n - 1)) for t in samples]]
+
+
 def solve_errors(source, alpha, k, yb, grids):
     """The max error of the solves on the grids at SAMPLES, against the exact extremal."""
     v_of_w, bracket = EXTREMALS[source]
     e = kernel(alpha, k)
     mu = scipy.optimize.brentq(lambda mu: trajectory(e, v_of_w, mu, 1.0) - yb, *bracket)
     exact = np.array([trajectory(e, v_of_w, mu, t) for t in SAMPLES])
-
-    errors = []
-    for n in grids:
-        grid = Grid(0.0, 1.0, n)
-        p = Problem(f=Lagrangian.parse(source), k=k, order=FracOrder(alpha), grid=grid, ya=0.0, yb=yb)
-        sol = solve_unconstrained(p)
-        assert sol.converged
-        # every sample is a node of these grids
-        nodes = [round(t * (n - 1)) for t in SAMPLES]
-        errors.append(float(np.max(np.abs(sol.y.values[nodes] - exact))))
-    return errors
+    return [float(np.max(np.abs(solved_y(source, alpha, k, yb, n, SAMPLES) - exact))) for n in grids]
 
 
 def orders(errors):
@@ -112,3 +110,17 @@ def test_arclength_bound():
     assert arclength_bound(0.25, 0.7) == pytest.approx(0.84419, abs=1e-5)
     assert arclength_bound(0.5, 0.7) == pytest.approx(0.61970, abs=1e-5)
     assert arclength_bound(0.75, 0.7) == pytest.approx(0.49458, abs=1e-5)
+
+
+def test_approach_to_the_relaxed_arclength_extremal():
+    # yb = 1 lies above the arclength bound 0.78858 at alpha = 0.3, k = 0.7, so
+    # no minimizer exists. The solves approach the relaxed extremal, mu = 1,
+    # whose y jumps at t = 1 (y(1-) = 0.78858). At t = 1/4 the error changes
+    # sign between grids (6.7e-4, -1.5e-4, -9.1e-5 at n = 1001, 4001, 16001),
+    # so it is not sampled
+    samples = (0.5, 0.75)
+    e = kernel(0.3, 0.7)
+    exact = np.array([trajectory(e, EXTREMALS["sqrt(1+v^2)"][0], 1.0, t) for t in samples])
+    np.testing.assert_allclose(exact, [0.272979, 0.438011], atol=1e-6)
+    coarse, fine = (np.abs(solved_y("sqrt(1+v^2)", 0.3, 0.7, 1.0, n, samples) - exact) for n in (1001, 4001))
+    assert np.all(fine <= coarse / 2.0) and np.all(fine <= [1e-3, 2e-2]), (coarse, fine)
