@@ -2,12 +2,14 @@
 
 Over fracvar's own tokens the grammar is Python's arithmetic with ``^`` for
 ``**`` (``^``, right-associative, > unary minus > ``*``, ``/`` > ``+``,
-``-``): the tokens are checked here, Python's parser reads their order, and
-its nodes map onto the tree.  Exact symbolic differentiation in y and v
-comes with light simplification (constant folding and the x+0 / x*1 / x*0
-family).  One table entry per operator holds its numpy function, its domain
-tests and its derivative rule; evaluation and differentiation look operators
-up there.
+``-``): the tokens and their order are checked here, Python's parser reads
+their precedence and grouping, and its nodes map onto the tree.  Exact
+symbolic differentiation in y and v comes with light simplification
+(constant folding and the x+0 / x*1 / x*0 family).  One table entry per
+operator holds its numpy function, its domain tests and its derivative rule;
+evaluation and differentiation look operators up there.  An expression is
+differentiated once, when it becomes a Lagrangian: H = F - lambda * G takes
+each of its partials from those of F and G.
 
 Here v stands for the combined derivative y' + k * D^alpha y; the grammar
 itself never sees alpha or k.
@@ -217,9 +219,14 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 def _python_source(tokens: list[tuple[str, str, int]]) -> str:
     """The checked tokens as Python, one a line inside a pair of parentheses:
-    line 2 + i is token i, and the closing line is the end token."""
-    lines, depth = ["("], 0
-    for kind, text, offset in tokens:
+    line 2 + i is token i, and the closing line is the end token.  Each token
+    is checked against the one before it: an operand, '(' or unary '-' after
+    the start, '(' or an operator; an operator, ')' or the end after an
+    operand or ')'; '(' alone after a function name.  Python's parser so
+    meets only well-ordered tokens, and the fault named is the same on every
+    version of it."""
+    lines, depth, expect = ["("], 0, "operand"
+    for i, (kind, text, offset) in enumerate(tokens):
         if kind == "num":
             value = float(text)
             if not math.isfinite(value):  # inf has no spelling that parses back
@@ -227,41 +234,50 @@ def _python_source(tokens: list[tuple[str, str, int]]) -> str:
             text = repr(value)  # Python refuses a spelling such as 01
         elif kind == "ident" and text not in VARIABLES + FUNCTIONS:
             raise UnknownIdentifierError(f"unknown identifier {text!r}", offset, VARIABLES + FUNCTIONS)
+        if expect == "operand":
+            ordered = kind in ("num", "ident") or text in ("(", "-")
+        elif expect == "operator":  # a ')' at depth 0 would close the wrapping parenthesis
+            ordered = kind == "end" or text in ("+", "-", "*", "/", "^") or text == ")" and depth > 0
+        else:
+            ordered = text == "("
+        if not ordered:
+            raise _misplaced(tokens, i)
+        expect = "(" if text in FUNCTIONS else "operator" if kind == "num" or text in VARIABLES + (")",) else "operand"
         depth += {"(": 1, ")": -1}.get(text, 0)
-        if depth < 0:  # it would close the wrapping parenthesis
-            raise ExprSyntaxError("unexpected token ')'", offset)
         lines.append({"^": "**", "": ")"}.get(text, text))
     if depth:
         raise ExprSyntaxError("unexpected token 'end of input'", tokens[-1][2], (")",))
     return "\n".join(lines)
 
 
+def _misplaced(tokens: list[tuple[str, str, int]], i: int) -> ExprSyntaxError:
+    """The fault of token i where it may not stand: a function name that it
+    does not call is an unknown variable, a variable that it calls an unknown
+    function, and any other token i is unexpected."""
+    _, before, at = tokens[i - 1]  # before the first token: the end token's ""
+    _, text, offset = tokens[i]
+    if before in FUNCTIONS and text != "(":
+        return UnknownIdentifierError(f"unknown identifier {before!r}", at, VARIABLES)
+    if before in VARIABLES and text == "(":
+        return UnknownIdentifierError(f"unknown function {before!r}", at, FUNCTIONS)
+    return ExprSyntaxError(f"unexpected token {text or 'end of input'!r}", offset)
+
+
 _BINARY_NODES = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: div, ast.Pow: pow_}
 
 
-def _build(node: ast.expr, tokens: list[tuple[str, str, int]]) -> Expr:
-    """The tree of a Python node, built by the simplifying constructors."""
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_NODES:
-        return _BINARY_NODES[type(node.op)](_build(node.left, tokens), _build(node.right, tokens))
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return neg(_build(node.operand, tokens))
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and len(node.args) == 1 and not node.keywords:
-        if node.func.id not in FUNCTIONS:
-            raise UnknownIdentifierError(f"unknown function {node.func.id!r}", tokens[node.lineno - 2][2], FUNCTIONS)
-        return Unary(node.func.id, _build(node.args[0], tokens))
-    if isinstance(node, ast.Name):
-        if node.id not in VARIABLES:
-            raise UnknownIdentifierError(f"unknown identifier {node.id!r}", tokens[node.lineno - 2][2], VARIABLES)
+def _build(node: ast.expr) -> Expr:
+    """The tree of a Python node, built by the simplifying constructors: of
+    well-ordered tokens Python makes no other nodes than these."""
+    if isinstance(node, ast.BinOp):
+        return _BINARY_NODES[type(node.op)](_build(node.left), _build(node.right))
+    if isinstance(node, ast.UnaryOp):  # minus, the one unary operator token
+        return neg(_build(node.operand))
+    if isinstance(node, ast.Call):  # a function name and one parenthesized argument
+        return Unary(node.func.id, _build(node.args[0]))
+    if isinstance(node, ast.Name):  # a variable: a function name is always called
         return Var(node.id)
-    if isinstance(node, ast.Constant):
-        return _const(node.value)
-    # any other call is faulted at its '(', anything else at its first token
-    raise _unexpected(tokens, node.func.end_lineno + 1 if isinstance(node, ast.Call) else node.lineno)
-
-
-def _unexpected(tokens: list[tuple[str, str, int]], line: int) -> ExprSyntaxError:
-    _, text, offset = tokens[max(line - 2, 0)]  # line 1 is the wrapping parenthesis
-    return ExprSyntaxError(f"unexpected token {text or 'end of input'!r}", offset)
+    return _const(node.value)
 
 
 def parse(src: str) -> Expr:
@@ -269,11 +285,11 @@ def parse(src: str) -> Expr:
     tokens = _tokenize(src)
     try:
         tree = ast.parse(_python_source(tokens), mode="eval")
-    except SyntaxError as exc:
-        raise _unexpected(tokens, exc.lineno) from None
+    except SyntaxError as exc:  # only CPython's own depth limit: more than 199 nested parentheses
+        raise _misplaced(tokens, exc.lineno - 2) from None
     except MemoryError:  # "Parser stack overflowed": CPython's own depth limit
         raise RecursionError("expression nests too deeply") from None
-    return _build(tree.body, tokens)
+    return _build(tree.body)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +528,8 @@ def _walk(e: Expr) -> Iterator[Expr]:
 
 
 class AugmentedLagrangian(Lagrangian):
-    """H = F - lambda * G as a Lagrangian of its own, with its own exact partials."""
+    """H = F - lambda * G, each tree F's less lambda times G's: - and a constant factor differentiate linearly."""
 
     def __init__(self, f: Lagrangian, g: Lagrangian, lam: float):
-        super().__init__(sub(f.f, mul(_const(lam), g.f)))
+        for name in ("f", "d2", "d3", "d22", "d23", "d33"):
+            setattr(self, name, sub(getattr(f, name), mul(_const(lam), getattr(g, name))))

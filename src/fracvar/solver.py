@@ -25,7 +25,7 @@ values, steps backtrack on J (Armijo) or, with a constraint, on the KKT
 residual, until the residuals reach min(tol, 1e-12) or a full step changes J
 only by roundoff and does not halve them.  The steps and the final iterate's
 Euler-Lagrange residual use one Discretization, so a solve assembles the GL
-operator once.  A solve holds at most about 36 arrays of n doubles; it is
+operator once.  A solve holds at most about 37 arrays of n doubles; it is
 refused up front, with a MemoryError, where 40 would not fit.
 """
 
@@ -402,7 +402,7 @@ def _memory_available() -> float:
 
 
 #: A whole `fracvar solve`'s tracemalloc peak, in arrays of n doubles, with
-#: room to spare: 31.8-35.8 at n = 100001, its CSV written included
+#: room to spare: 32.4-36.5 at n = 100001, its CSV written included
 _ARRAYS_PER_SOLVE = 40
 
 

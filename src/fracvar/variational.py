@@ -4,14 +4,15 @@ gradient (first variation) with respect to interior node values.
 
 All of them, and the solver, go through one `Discretization` of the problem,
 which owns its left GL operator L, n weights applied by FFT, and the one
-operator M = D_c + k L through which v depends on y: v = M y + y(a) c, where
-the boundary column c, computed once, corrects L for the singular derivative
-of a nonzero left value.  It holds the products with M and M^T, from which
-the solver forms its Hessian-vector products; the quadratures of the
-Lagrangian and its gradient, M^T applied to the weighted H_v; and the
-Euler-Lagrange residual, whose right operator is L^T.  All take O(n log n)
-time and O(n) memory.  The public functions build a Discretization per call;
-a solve builds one, and its certificate reads the same one.
+operator M = D_c + k L through which v depends on y: v = M y + y(a) c at every
+left value, where the boundary column c, computed once, corrects L for the
+singular derivative of a nonzero one, and adds zeros at y(a) = 0.  It holds
+the products with M and M^T, from which the solver forms its Hessian-vector
+products; the quadratures of the Lagrangian and its gradient, M^T applied to
+the weighted H_v; and the Euler-Lagrange residual, whose right operator is
+L^T.  All take O(n log n) time and O(n) memory.  The public functions build a
+Discretization per call; a solve builds one, and its certificate reads the
+same one.
 """
 
 from __future__ import annotations
@@ -118,6 +119,8 @@ class Discretization:
         analytic derivative of the constant, s, restores accuracy at interior
         nodes.  Node 0 keeps the plain GL value (the continuous derivative is
         infinite there), so c_0 = 0.  L 1 is the running sum of the weights.
+        Every v takes y(a) c, zeros at y(a) = 0, so every discretization that
+        computes a v holds c.
         """
         alpha, weights = self.p.order.alpha, self.left.weights
         s = np.empty(len(weights))
@@ -146,11 +149,8 @@ class Discretization:
         return m_norm, size, np.maximum(sym, np.sort(sym)[:3][-1] or 1.0)
 
     def v(self, y: np.ndarray) -> np.ndarray:
-        """v = M y + y(a) c: y' + k D^alpha y with the boundary split."""
-        v = self.m_matvec(y)
-        if y[0] != 0.0:
-            v += y[0] * self.boundary_column
-        return v
+        """v = M y + y(a) c: y' + k D^alpha y with the boundary split, at every y(a)."""
+        return self.m_matvec(y) + y[0] * self.boundary_column
 
     def m_matvec(self, x: np.ndarray) -> np.ndarray:
         """M x, with M = D_c + k L: v is M y plus a multiple of the boundary column."""

@@ -903,6 +903,18 @@ class TestConvergence:
         assert code == EXIT_NOCONV
         assert out == "" and err == "error: the solve at n=51 did not converge\n"
 
+    def test_parses_and_differentiates_once(self, tmp_path, capsys, monkeypatch):
+        # one Problem for the study, its grid replaced for each size: the ten
+        # partials of F and G are derived once, not once per grid
+        calls = []
+        derive = fracvar.lagrange_dsl.differentiate
+        monkeypatch.setattr(fracvar.lagrange_dsl, "differentiate", lambda *args: calls.append(args) or derive(*args))
+        path = write_problem(tmp_path, F="v^4", G="v", xi=1.0, yb="auto-reference")
+        code, out, _ = run(capsys, "convergence", path, "--grids", 251, 501, 1001, 2001)
+        assert code == EXIT_OK
+        assert [entry["n"] for entry in json.loads(out)["entries"]] == [251, 501, 1001, 2001]
+        assert len(calls) == 10
+
     def test_needs_two_grids(self, tmp_path, capsys):
         path = write_problem(tmp_path)
         code, _, _ = run(capsys, "convergence", path, "--grids", 101)

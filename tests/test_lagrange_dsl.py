@@ -206,6 +206,18 @@ class TestParse:
         assert 0 <= exc.value.offset <= len(src)
 
     @pytest.mark.parametrize("src, offset", [
+        ("t v", 2), ("v 2", 2), ("t / 2 2", 6), ("exp(v y)", 6), ("^ t v", 0), ("* t 2 t - *", 0), ("+v", 0),
+        ("exp()", 4), ("2(v)", 1), ("exp(v)(y)", 6), ("v)+(y", 1), ("(v", 2),
+    ])
+    def test_misplaced_token(self, src, offset):
+        # fracvar checks each token against the one before it, so the first
+        # token out of order is named, whichever Python parses the rest
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(src)
+        assert type(exc.value) is ExprSyntaxError
+        assert exc.value.offset == offset
+
+    @pytest.mark.parametrize("src, offset", [
         ("v(y)", 0), ("exp", 0), ("y*sin", 2), ("not v", 0), ("True", 0), ("None", 0), ("lambda", 0),
     ])
     def test_rejected_names(self, src, offset):

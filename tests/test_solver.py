@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import fracvar.lagrange_dsl
 import fracvar.solver
 import fracvar.variational
 from dense_oracle import dense_m, dense_shifted_solve, hessian_of
 from fracvar.cli import _build_problem, main
 from fracvar.fracgrid import FracOrder, Grid
-from fracvar.lagrange_dsl import Lagrangian
+from fracvar.lagrange_dsl import AugmentedLagrangian, Const, Lagrangian, mul, sub
 from fracvar.reference import ReferenceSpec, boundary_value, ml_convolution_extremal
 from fracvar.solver import (
     _ARRAYS_PER_SOLVE,
@@ -1030,3 +1031,47 @@ class TestOneDiscretization:
         assert np.array_equal(sol.residual.values.values, public.values.values)
         assert sol.residual.norm_max_interior == public.norm_max_interior
         assert sol.residual.norm_l2_interior == public.norm_l2_interior
+
+
+class TestEachPieceBuiltOnce:
+    def test_solve_differentiates_nothing(self, monkeypatch):
+        # F and G were differentiated when they became Lagrangians; each
+        # H = F - lambda*G of the Newton steps and the certificate assembles
+        # its partials from theirs
+        p = Problem(
+            f=Lagrangian.parse("v^4+y^2"),
+            k=0.7,
+            order=FracOrder(0.3),
+            grid=Grid(0.0, 1.0, 201),
+            ya=0.0,
+            yb=1.0,
+            g=Lagrangian.parse("y^2"),
+            xi=0.5,
+        )
+        calls = []
+        derive = fracvar.lagrange_dsl.differentiate
+        monkeypatch.setattr(fracvar.lagrange_dsl, "differentiate", lambda *args: calls.append(args) or derive(*args))
+        sol = solve_isoperimetric(p)
+        assert sol.converged and sol.iterations >= 10
+        assert calls == []
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 2.5, -3.75])
+    def test_augmented_trees_are_the_derived_ones(self, lam):
+        # the assembly of H's partials is their derivation: - and a constant
+        # factor differentiate linearly
+        for doc in ORACLE_PROBLEMS:
+            f = Lagrangian.parse(doc["F"])
+            for g in (Lagrangian.parse(doc.get("G", "v")), f):
+                h = AugmentedLagrangian(f, g, lam)
+                derived = Lagrangian(sub(f.f, mul(Const(lam), g.f)))
+                for name in ("f", "d2", "d3", "d22", "d23", "d33"):
+                    assert getattr(h, name) == getattr(derived, name), (doc["F"], name)
+
+    @pytest.mark.parametrize("doc", BENCHMARK_PROBLEMS, ids=lambda doc: doc["F"])
+    def test_v_at_zero_left_value_is_m_y(self, doc):
+        # at y(a) = 0 the boundary column enters v as zeros, bit for bit
+        p = _build_problem(dict(doc, a=0.0, b=1.0, n=1001))
+        disc = Discretization(p)
+        y = np.cos(np.arange(1001.0) ** 2)
+        y[0] = 0.0
+        assert disc.v(y).tobytes() == disc.m_matvec(y).tobytes()
